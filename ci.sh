@@ -28,6 +28,13 @@ cargo test -q -p greuse-telemetry --no-default-features
 echo "==> golden-vector conformance suite"
 cargo test -q -p greuse --test golden_conformance
 
+# Whole-network steady state: every layer of a CifarNet (f32) and a
+# SqueezeNet (int8) forward keeps its executor state resident, so after
+# warm-up no conv GEMM allocates and no patterned layer runs staged. A
+# return of per-call workspace rebuilds fails here by name.
+echo "==> whole-network steady-state suite"
+cargo test -q -p greuse --test network_steady_state
+
 echo "==> fault-injection suite (guarded fallback, panic isolation, determinism)"
 cargo test -q -p greuse --features fault-inject --test fault_injection
 cargo test -q -p greuse --features fault-inject --lib faults

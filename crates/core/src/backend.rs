@@ -5,9 +5,15 @@
 //!
 //! The backend is built for concurrent inference: statistics live in
 //! per-layer **atomic accumulators** (one fixed slot per patterned layer,
-//! created at build time — no lock, no map mutation on the hot path), and
-//! executor state is drawn from a pool of [`ExecWorkspace`]s so parallel
-//! callers do not contend on one scratch arena.
+//! created at build time — no lock, no map mutation on the hot path).
+//! Executor state comes from a pool of [`ExecWorkspace`]s, which serves
+//! two purposes. Parallel callers each check out their own workspace, so
+//! they never contend on one scratch arena. And each workspace keeps one
+//! resident entry per patterned layer (permutations, hash families,
+//! histogram handles) next to one shared scratch arena, so a
+//! single-threaded network forward — which checks the same workspace out
+//! for every layer in turn — selects each layer's prepared state instead
+//! of rebuilding it, and runs the fused pipeline from the second image on.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -19,7 +25,7 @@ use serde::{Deserialize, Serialize};
 use greuse_mcu::PhaseOps;
 use greuse_nn::{ConvBackend, DenseBackend};
 use greuse_telemetry::Counter;
-use greuse_tensor::{gemm_bt_f32, ConvSpec, Tensor, TensorError};
+use greuse_tensor::{gemm_bt_f32_into_with, ConvSpec, Tensor, TensorError};
 
 use crate::exec::{ExecWorkspace, ReuseStats};
 use crate::guard::{
@@ -361,6 +367,26 @@ impl<P: HashProvider> ReuseBackend<P> {
         }
         let x = sanitized.as_ref().unwrap_or(x);
 
+        let mut ws = self.workspaces.lock().pop().unwrap_or_default();
+        let result = self.run_in(&mut ws, layer, spec, x, weights, pattern, y);
+        self.workspaces.lock().push(ws);
+        result
+    }
+
+    /// The guarded reuse call on a checked-out workspace: the accuracy
+    /// bound check, the executor run, and either dense fallback (whose
+    /// GEMM borrows the workspace's pack buffers).
+    #[allow(clippy::too_many_arguments)]
+    fn run_in(
+        &self,
+        ws: &mut ExecWorkspace,
+        layer: &str,
+        spec: &ConvSpec,
+        x: &Tensor<f32>,
+        weights: &Tensor<f32>,
+        pattern: &ReusePattern,
+        y: &mut [f32],
+    ) -> Result<(), TensorError> {
         if self.guard.fallback {
             if let Some(ceiling) = self.guard.max_error_bound {
                 let est = crate::models::accuracy::accuracy_bound_with_spec(
@@ -373,6 +399,7 @@ impl<P: HashProvider> ReuseBackend<P> {
                 .map_err(boundary_error)?;
                 if est.error_bound > ceiling {
                     return self.dense_fallback(
+                        ws,
                         layer,
                         x,
                         weights,
@@ -383,14 +410,12 @@ impl<P: HashProvider> ReuseBackend<P> {
             }
         }
 
-        let mut ws = self.workspaces.lock().pop().unwrap_or_default();
         let tag = self.tags.get(layer).copied().unwrap_or(0);
         let prev_tag = greuse_telemetry::set_tag(tag);
         let started = Instant::now();
         let result = ws.execute_into(x, weights, Some(spec), pattern, &self.hashes, layer, y);
         let wall_ns = started.elapsed().as_nanos() as u64;
         greuse_telemetry::set_tag(prev_tag);
-        self.workspaces.lock().push(ws);
         let stats = result.map_err(boundary_error)?;
         if let Some(acc) = self.stats.get(layer) {
             acc.record(&stats, wall_ns);
@@ -405,25 +430,36 @@ impl<P: HashProvider> ReuseBackend<P> {
             should_fall_back(pattern, weights.rows(), stats.redundancy_ratio)
         };
         if self.guard.fallback && below_breakeven {
-            return self.dense_fallback(layer, x, weights, y, FallbackReason::LowRedundancy);
+            return self.dense_fallback(ws, layer, x, weights, y, FallbackReason::LowRedundancy);
         }
         Ok(())
     }
 
-    /// Recomputes the call through the exact dense GEMM (the same
-    /// `gemm_bt_f32` that [`DenseBackend`] runs), overwriting the reuse
-    /// output, and records the fallback on the `exec.fallback` counter
-    /// and the layer's accumulator.
+    /// Recomputes the call through the exact dense GEMM (the same packed
+    /// `X × Wᵀ` kernel that [`DenseBackend`] runs, bit for bit) straight
+    /// into `y`, overwriting the reuse output, and records the fallback
+    /// on the `exec.fallback` counter and the layer's accumulator. The
+    /// pack buffers come from the layer's workspace, so a fallback
+    /// allocates nothing.
     fn dense_fallback(
         &self,
+        ws: &mut ExecWorkspace,
         layer: &str,
         x: &Tensor<f32>,
         weights: &Tensor<f32>,
         y: &mut [f32],
         reason: FallbackReason,
     ) -> Result<(), TensorError> {
-        let dense = gemm_bt_f32(x, weights)?;
-        y.copy_from_slice(dense.as_slice());
+        let (n, k, m) = (x.rows(), x.cols(), weights.rows());
+        gemm_bt_f32_into_with(
+            x.as_slice(),
+            weights.as_slice(),
+            y,
+            n,
+            k,
+            m,
+            ws.gemm_scratch(),
+        )?;
         count_fallback();
         if let Some(acc) = self.stats.get(layer) {
             acc.record_fallback(reason);

@@ -198,9 +198,11 @@ impl<T> SendPtr<T> {
 /// the per-image pipeline is caught at the task boundary and converted
 /// to [`GreuseError::WorkerPanic`], so it poisons only this image's slot
 /// instead of unwinding through the worker pool and aborting the batch.
-/// Thread-local workspaces are safe to reuse afterwards — `execute_into`
-/// re-prepares every buffer from scratch on each call, so no partial
-/// state survives the unwind. Under `fault-inject` the image index is
+/// Thread-local workspaces are safe to reuse afterwards — every call
+/// rewrites the transient scratch slices it reads, and a layer's resident
+/// entry only ever gains complete per-panel hash families and
+/// cache entries committed after a panel finished, so no partial state
+/// survives the unwind. Under `fault-inject` the image index is
 /// published to the harness so image-scoped fault rules match
 /// deterministically regardless of which pool thread runs the task.
 fn run_isolated(
@@ -212,8 +214,9 @@ fn run_isolated(
     let prev = crate::faults::set_current_image(Some(image));
     // AssertUnwindSafe: the captured output slice and thread-local
     // workspace are only observed again after being fully rewritten
-    // (workspaces re-prepare on every call; a poisoned slot's output is
-    // never read), so no broken invariant is witnessed across the catch.
+    // (scratch is rewritten by every call, resident entries hold only
+    // completed per-panel state; a poisoned slot's output is never
+    // read), so no broken invariant is witnessed across the catch.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
     #[cfg(feature = "fault-inject")]
     crate::faults::set_current_image(prev);

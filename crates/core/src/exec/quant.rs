@@ -41,13 +41,13 @@ use greuse_tensor::{
 };
 
 use crate::exec::cache::{Probe, ReuseCache};
-use crate::exec::workspace::{PanelIter, PipelineMode};
+use crate::exec::workspace::{grow, select_entry, PanelIter, PipelineMode};
 use crate::exec::ReuseStats;
 use crate::hash_provider::HashProvider;
 use crate::pattern::{ReuseDirection, ReusePattern};
 use crate::Result;
 
-/// What a quantized workspace is currently sized for.
+/// What a quantized layer entry was built for.
 #[derive(Debug, Clone, PartialEq)]
 struct QKey {
     layer: String,
@@ -57,28 +57,131 @@ struct QKey {
     pattern: Option<ReusePattern>,
 }
 
-/// Arena of reusable int8-executor state: quantized operand copies, the
-/// `i32` accumulator, panel buffers, clustering scratch, and cached
-/// per-panel hash families.
+impl QKey {
+    fn is(
+        &self,
+        layer: &str,
+        n: usize,
+        k: usize,
+        m: usize,
+        pattern: Option<&ReusePattern>,
+    ) -> bool {
+        self.layer == layer
+            && self.n == n
+            && self.k == k
+            && self.m == m
+            && self.pattern.as_ref() == pattern
+    }
+
+    /// Whether this entry occupies the slot a call of `layer` under
+    /// `pattern` would use: one slot per layer name *and* mode (reuse or
+    /// dense-quantized), so a guard's dense re-run of a patterned layer
+    /// does not evict the layer's reuse state.
+    fn same_slot(&self, layer: &str, pattern: Option<&ReusePattern>) -> bool {
+        self.layer == layer && self.pattern.is_some() == pattern.is_some()
+    }
+}
+
+/// Layer-resident int8 state, built once per key: the quantized weights
+/// and their row sums, the per-panel hash families, the temporal cache
+/// with the activation params its entries were built under, and the
+/// latency-histogram handles.
+#[derive(Debug)]
+struct QLayer {
+    key: QKey,
+    /// Quantized weights (`M x K` codes, symmetric).
+    w_q: Vec<i8>,
+    w_scale: f32,
+    /// Per-output-channel weight code sums over full `K`.
+    w_sums: Vec<i32>,
+    families: Vec<HashFamily>,
+    /// Temporal (cross-call) reuse cache over quantized unit codes; the
+    /// cached accumulators are the pre-zero-point panel GEMM outputs.
+    cache: Option<ReuseCache<u8, i32>>,
+    /// Activation params the cache entries were built under. The
+    /// clustering operates on *dequantized* values, so a params change
+    /// makes cached groupings describe different real data even when the
+    /// codes match — the whole cache is cleared.
+    cache_params: Option<ActQuantParams>,
+    /// Per-call latency histograms for this layer, `[warm, fused, staged]`.
+    lat: [&'static greuse_telemetry::metrics::Hist; 3],
+}
+
+impl QLayer {
+    fn new(
+        layer: &str,
+        w: &Tensor<f32>,
+        n: usize,
+        pattern: Option<&ReusePattern>,
+        temporal_cache: bool,
+    ) -> Result<Self> {
+        let (m, k) = (w.rows(), w.cols());
+        // Symmetric per-tensor weight quantization, once per key.
+        let (w_q, w_scale, w_sums) = {
+            let _pack = greuse_telemetry::span!("quant.pack");
+            let absmax = w.as_slice().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
+            let params = LinearQuantParams::symmetric(absmax.max(f32::MIN_POSITIVE))?;
+            let mut w_q = vec![0i8; m * k];
+            let mut w_sums = vec![0i32; m];
+            quantize_linear_into(w.as_slice(), &params, &mut w_q);
+            weight_row_sums_into(&w_q, m, k, &mut w_sums);
+            (w_q, params.scale, w_sums)
+        };
+        let cache = temporal_cache.then(|| {
+            let mut cache = ReuseCache::default();
+            if let Some(p) = pattern.filter(|p| p.direction == ReuseDirection::Vertical) {
+                let l = p.l.min(k);
+                let b = p.block_rows.min(n);
+                cache.reserve(k.div_ceil(l), n / b, b, k, m);
+            }
+            cache
+        });
+        Ok(QLayer {
+            key: QKey {
+                layer: layer.to_string(),
+                n,
+                k,
+                m,
+                pattern: pattern.copied(),
+            },
+            w_q,
+            w_scale,
+            w_sums,
+            families: Vec::new(),
+            cache,
+            cache_params: None,
+            lat: crate::exec::workspace::layer_latency_hists(layer, "int8"),
+        })
+    }
+}
+
+/// Reusable int8-executor state, split like [`super::ExecWorkspace`]:
+/// **layer-resident** entries (one per layer name: quantized weights, row
+/// sums, hash families, temporal cache) and one **transient scratch
+/// arena** shared by every layer (quantized activations, the `i32`
+/// accumulator, panel buffers, clustering scratch, fused-sweep source).
 ///
 /// Create once (or check out from a pool), then call
-/// [`QuantWorkspace::execute_into`] repeatedly; like [`super::ExecWorkspace`]
-/// it re-sizes on key changes and reaches a zero-allocation steady state
-/// on a stable key (with a data-independent hash provider).
+/// [`QuantWorkspace::execute_into`] repeatedly, for one layer or for a
+/// whole network. A known layer only selects its entry; the entry is
+/// rebuilt in place when that layer's key changes. A layer keeps
+/// separate reuse and dense-quantized entries, so the guard's dense
+/// re-run of a patterned call leaves the reuse entry (and its cached
+/// families) in place. The scratch only
+/// grows, so the workspace reaches a zero-allocation steady state once
+/// every layer has run (with a data-independent hash provider).
 ///
 /// Weight quantization is cached on the key: the workspace assumes a
 /// layer's weights are stable across calls, matching the per-layer
 /// family cache.
 #[derive(Debug, Default)]
 pub struct QuantWorkspace {
-    key: Option<QKey>,
+    /// Layer-resident state, at most one entry per layer name and mode.
+    layers: Vec<QLayer>,
+    /// The entry the last `prepare()` selected.
+    active: usize,
     /// Quantized activations (`N x K` codes).
     x_q: Vec<u8>,
-    /// Quantized weights (`M x K` codes, symmetric).
-    w_q: Vec<i8>,
-    w_scale: f32,
-    /// Per-output-channel weight code sums over full `K`.
-    w_sums: Vec<i32>,
     /// Raw-product accumulator (`N x M`).
     acc: Vec<i32>,
     /// Requantized output codes (`N x M`).
@@ -99,24 +202,13 @@ pub struct QuantWorkspace {
     yt: Vec<i32>,
     gemm: GemmScratch,
     scratch: ClusterScratch,
-    families: Vec<HashFamily>,
     /// Dequantized unit staging for the fused sweep (`full_blocks x dim`):
     /// the refinement walk measures distances on these floats, exactly as
     /// [`ClusterScratch::cluster_q8`] would.
     deq: Vec<f32>,
     fused: FusedPanelSource,
     mode: PipelineMode,
-    /// Temporal (cross-call) reuse cache over quantized unit codes; the
-    /// cached accumulators are the pre-zero-point panel GEMM outputs.
-    cache: Option<ReuseCache<u8, i32>>,
-    /// Activation params the cache entries were built under. The
-    /// clustering operates on *dequantized* values, so a params change
-    /// makes cached groupings describe different real data even when the
-    /// codes match — the whole cache is cleared.
-    cache_params: Option<ActQuantParams>,
-    /// Per-call latency histograms for this layer, `[warm, fused, staged]`;
-    /// resolved in `prepare()` (the allocating phase).
-    lat: Option<[&'static greuse_telemetry::metrics::Hist; 3]>,
+    temporal_cache: bool,
 }
 
 impl QuantWorkspace {
@@ -129,17 +221,16 @@ impl QuantWorkspace {
     /// default; see [`super::ExecWorkspace::set_temporal_cache`] — hits
     /// are validated by exact code comparison, so results never change.
     pub fn set_temporal_cache(&mut self, enabled: bool) {
-        if enabled == self.cache.is_some() {
+        if enabled == self.temporal_cache {
             return;
         }
-        self.cache = enabled.then(ReuseCache::default);
-        self.cache_params = None;
-        self.key = None;
+        self.temporal_cache = enabled;
+        self.layers.clear();
     }
 
     /// Whether the temporal reuse cache is enabled.
     pub fn temporal_cache_enabled(&self) -> bool {
-        self.cache.is_some()
+        self.temporal_cache
     }
 
     /// Selects the per-panel pipeline (see
@@ -154,9 +245,12 @@ impl QuantWorkspace {
         self.mode
     }
 
-    /// Pre-sizes every buffer for one layer's quantized GEMM and caches
-    /// the quantized weights, so a later [`QuantWorkspace::execute_into`]
-    /// on the same key allocates nothing.
+    /// Prepares the workspace for one layer's quantized GEMM and selects
+    /// that layer's entry: on first sight of the layer (or when its key
+    /// changed) quantizes the weights and resolves the histogram handles;
+    /// in every case grows the shared scratch to fit, so a later
+    /// [`QuantWorkspace::execute_into`] on the same key allocates
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -183,71 +277,34 @@ impl QuantWorkspace {
                 });
             }
         }
-        let matches = self.key.as_ref().is_some_and(|key| {
-            key.layer == layer
-                && key.n == n
-                && key.k == k
-                && key.m == m
-                && key.pattern.as_ref() == pattern
-        });
-        if matches {
-            return Ok(());
-        }
-
-        self.x_q.resize(n * k, 0);
-        self.w_q.resize(m * k, 0);
-        self.w_sums.resize(m, 0);
-        self.acc.resize(n * m, 0);
-        self.out_q.resize(n * m, 0);
+        grow(&mut self.x_q, n * k);
+        grow(&mut self.acc, n * m);
+        grow(&mut self.out_q, n * m);
         if let Some(p) = pattern.filter(|p| p.direction == ReuseDirection::Vertical) {
             let l = p.l.min(k);
             let b = p.block_rows.min(n);
             let full_blocks = n / b;
             let dim = b * l;
-            self.units_q.resize(full_blocks * dim, 0);
-            self.csums.resize(full_blocks * dim, 0);
-            self.stacked_q.resize(full_blocks * dim, 0);
-            self.wp_q.resize(m * l, 0);
-            self.yc.resize(full_blocks * b * m, 0);
-            self.deq.resize(full_blocks * dim, 0.0);
-            self.fused.reserve(p.h, dim, full_blocks);
-            if let Some(cache) = self.cache.as_mut() {
-                cache.reserve(k.div_ceil(l), full_blocks, b, k, m);
-                self.cache_params = None;
-            }
             let tail = n - full_blocks * b;
-            self.tail_q.resize(tail * l, 0);
-            self.yt.resize(tail * m, 0);
-        } else {
-            self.units_q.clear();
-            self.csums.clear();
-            self.stacked_q.clear();
-            self.wp_q.clear();
-            self.yc.clear();
-            self.deq.clear();
-            self.tail_q.clear();
-            self.yt.clear();
+            grow(&mut self.units_q, full_blocks * dim);
+            grow(&mut self.csums, full_blocks * dim);
+            grow(&mut self.stacked_q, full_blocks * dim);
+            grow(&mut self.wp_q, m * l);
+            grow(&mut self.yc, full_blocks * b * m);
+            grow(&mut self.deq, full_blocks * dim);
+            grow(&mut self.tail_q, tail * l);
+            grow(&mut self.yt, tail * m);
+            self.fused.reserve(p.h, dim, full_blocks);
         }
 
-        // Symmetric per-tensor weight quantization, refreshed with the key.
-        {
-            let _pack = greuse_telemetry::span!("quant.pack");
-            let absmax = w.as_slice().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
-            let params = LinearQuantParams::symmetric(absmax.max(f32::MIN_POSITIVE))?;
-            self.w_scale = params.scale;
-            quantize_linear_into(w.as_slice(), &params, &mut self.w_q);
-            weight_row_sums_into(&self.w_q, m, k, &mut self.w_sums);
-        }
-
-        self.families.clear();
-        self.lat = Some(crate::exec::workspace::layer_latency_hists(layer, "int8"));
-        self.key = Some(QKey {
-            layer: layer.to_string(),
-            n,
-            k,
-            m,
-            pattern: pattern.copied(),
-        });
+        let temporal_cache = self.temporal_cache;
+        self.active = select_entry(
+            &mut self.layers,
+            self.active,
+            |s| s.key.is(layer, n, k, m, pattern),
+            |s| s.key.same_slot(layer, pattern),
+            || QLayer::new(layer, w, n, pattern, temporal_cache),
+        )?;
         Ok(())
     }
 
@@ -292,28 +349,30 @@ impl QuantWorkspace {
 
         // Clock reads only while capture is active; handles were resolved
         // in `prepare`, so the steady state stays alloc-free.
-        let lat = self.lat;
         let t0 = greuse_telemetry::enabled().then(std::time::Instant::now);
-        let fused_engaged = self.mode == PipelineMode::Fused && !self.families.is_empty();
+        let active = self.active;
+        let fused_engaged =
+            self.mode == PipelineMode::Fused && !self.layers[active].families.is_empty();
 
         // Per-call activation quantization (dynamic range).
         let params = {
             let _pack = greuse_telemetry::span!("quant.pack");
             let params = ActQuantParams::from_data(x.as_slice())?;
-            quantize_u8_into(x.as_slice(), &params, &mut self.x_q);
+            quantize_u8_into(x.as_slice(), &params, &mut self.x_q[..n * k]);
             params
         };
 
         // Cached clusterings were computed on values dequantized under
         // the params of their frame; new params mean the same codes map
         // to different reals, so every entry is stale.
-        if let Some(cache) = self.cache.as_mut() {
-            let same = self.cache_params.is_some_and(|p| {
+        let state = &mut self.layers[active];
+        if let Some(cache) = state.cache.as_mut() {
+            let same = state.cache_params.is_some_and(|p| {
                 p.scale.to_bits() == params.scale.to_bits() && p.zero_point == params.zero_point
             });
             if !same {
                 cache.clear();
-                self.cache_params = Some(params);
+                state.cache_params = Some(params);
             }
         }
 
@@ -321,36 +380,47 @@ impl QuantWorkspace {
         match pattern.filter(|p| p.direction == ReuseDirection::Vertical) {
             Some(p) => self.vertical_q8(n, k, m, p, &params, hashes, layer, &mut stats)?,
             None => {
-                gemm_q8_into_with(&self.x_q, &self.w_q, &mut self.acc, n, k, m, &mut self.gemm);
+                gemm_q8_into_with(
+                    &self.x_q[..n * k],
+                    &self.layers[active].w_q,
+                    &mut self.acc[..n * m],
+                    n,
+                    k,
+                    m,
+                    &mut self.gemm,
+                );
                 stats.ops.gemm_macs += (n * k * m) as u64;
             }
         }
 
-        apply_zero_point(&mut self.acc, n, m, params.zero_point, &self.w_sums);
+        let state = &self.layers[active];
+        let acc = &mut self.acc[..n * m];
+        apply_zero_point(acc, n, m, params.zero_point, &state.w_sums);
 
         // Requantize: output scale covers the accumulator range.
         #[cfg(feature = "fault-inject")]
         crate::faults::panic_point(crate::faults::FaultPoint::QuantRequant, "quant.requant");
         let max_abs = {
             let _rq = greuse_telemetry::span!("quant.requant");
-            self.acc.iter().fold(0i32, |a, &v| a.max(v.abs()))
+            acc.iter().fold(0i32, |a, &v| a.max(v.abs()))
         };
-        let real = f64::from(params.scale) * f64::from(self.w_scale);
+        let real = f64::from(params.scale) * f64::from(state.w_scale);
         if max_abs == 0 {
             y.fill(0.0);
         } else if max_abs <= 127 {
             // Codes already fit i8: identity requantization, output scale
             // is the product scale itself.
             let _rq = greuse_telemetry::span!("quant.requant");
-            for (dst, &a) in y.iter_mut().zip(&self.acc) {
+            for (dst, &a) in y.iter_mut().zip(acc.iter()) {
                 *dst = (real * f64::from(a)) as f32;
             }
         } else {
             let rq = Requant::new((127.0 / max_abs as f64) as f32)?;
-            requantize_i8_into(&self.acc, &rq, &mut self.out_q);
+            let out_q = &mut self.out_q[..n * m];
+            requantize_i8_into(acc, &rq, out_q);
             let out_scale = real / rq.effective_multiplier();
             let _rq = greuse_telemetry::span!("quant.requant");
-            for (dst, &q) in y.iter_mut().zip(&self.out_q) {
+            for (dst, &q) in y.iter_mut().zip(out_q.iter()) {
                 *dst = (out_scale * f64::from(q)) as f32;
             }
         }
@@ -358,8 +428,8 @@ impl QuantWorkspace {
         // Transformation phase: one im2col-equivalent pass plus the
         // quantization pass over the activations.
         stats.ops.transform_elems = 2 * (n * k) as u64;
-        if let (Some(t0), Some(lat)) = (t0, lat) {
-            lat[crate::exec::workspace::latency_mode_index(&stats, fused_engaged)]
+        if let Some(t0) = t0 {
+            state.lat[crate::exec::workspace::latency_mode_index(&stats, fused_engaged)]
                 .record_ns(t0.elapsed().as_nanos() as u64);
         }
         Ok(stats.finish())
@@ -378,11 +448,38 @@ impl QuantWorkspace {
         layer: &str,
         stats: &mut ReuseStats,
     ) -> Result<()> {
+        let QuantWorkspace {
+            layers,
+            active,
+            x_q,
+            acc,
+            units_q,
+            csums,
+            stacked_q,
+            wp_q,
+            yc: yc_buf,
+            tail_q,
+            yt: yt_buf,
+            gemm,
+            scratch,
+            deq: deq_buf,
+            fused,
+            mode,
+            ..
+        } = self;
+        let QLayer {
+            w_q,
+            families,
+            cache,
+            ..
+        } = &mut layers[*active];
+        let x_q = &x_q[..n * k];
+        let acc = &mut acc[..n * m];
         let l = pattern.l.min(k);
         let b = pattern.block_rows.min(n);
         let full_blocks = n / b;
         let tail_rows = n - full_blocks * b;
-        self.acc.fill(0);
+        acc.fill(0);
 
         // Resolved unconditionally so the one-time registry allocation
         // lands during warm-up, not a measured steady-state window.
@@ -396,17 +493,17 @@ impl QuantWorkspace {
             // Weight panel: M x lw codes, rows contiguous (qgemm Bᵀ).
             {
                 let _gather = greuse_telemetry::span!("exec.gather");
-                let wp = &mut self.wp_q[..m * lw];
+                let wp = &mut wp_q[..m * lw];
                 for r in 0..m {
-                    wp[r * lw..(r + 1) * lw].copy_from_slice(&self.w_q[r * k + col0..r * k + col1]);
+                    wp[r * lw..(r + 1) * lw].copy_from_slice(&w_q[r * k + col0..r * k + col1]);
                 }
             }
 
             if full_blocks > 0 {
                 let dim = b * lw;
-                let fused_ready = self.mode == PipelineMode::Fused
+                let fused_ready = *mode == PipelineMode::Fused
                     && hashes.data_independent()
-                    && self.families.len() > panel.index;
+                    && families.len() > panel.index;
                 // With a block height of 1 every unit is a contiguous
                 // row slice of `x_q`, so the fused path needs no gather
                 // copy at all — clustering reads the dequantized
@@ -417,26 +514,26 @@ impl QuantWorkspace {
                     // vectorized pass, then hash + norm-scan the result
                     // in one batched sweep while it is still cache-hot.
                     let _fused = greuse_telemetry::span!("exec.fused_pack_hash");
-                    self.fused.begin_panel(&self.families[panel.index]);
-                    let deq = &mut self.deq[..full_blocks * dim];
+                    fused.begin_panel(&families[panel.index]);
+                    let deq = &mut deq_buf[..full_blocks * dim];
                     if fused_direct {
                         for (g, d) in deq.chunks_exact_mut(dim).enumerate() {
                             let row = g * k;
                             greuse_tensor::dequantize_u8_slice(
-                                &self.x_q[row + col0..row + col1],
+                                &x_q[row + col0..row + col1],
                                 params.scale,
                                 params.zero_point,
                                 d,
                             );
                         }
                     } else {
-                        let units = &mut self.units_q[..full_blocks * dim];
+                        let units = &mut units_q[..full_blocks * dim];
                         for g in 0..full_blocks {
                             let u = &mut units[g * dim..(g + 1) * dim];
                             for br in 0..b {
                                 let row = (g * b + br) * k;
                                 u[br * lw..(br + 1) * lw]
-                                    .copy_from_slice(&self.x_q[row + col0..row + col1]);
+                                    .copy_from_slice(&x_q[row + col0..row + col1]);
                             }
                         }
                         greuse_tensor::dequantize_u8_slice(
@@ -446,16 +543,16 @@ impl QuantWorkspace {
                             deq,
                         );
                     }
-                    self.fused.feed_rows(deq, full_blocks);
+                    fused.feed_rows(deq, full_blocks);
                 } else {
                     let _gather = greuse_telemetry::span!("exec.gather");
-                    let units = &mut self.units_q[..full_blocks * dim];
+                    let units = &mut units_q[..full_blocks * dim];
                     for g in 0..full_blocks {
                         let dst = &mut units[g * dim..(g + 1) * dim];
                         for br in 0..b {
                             let row = (g * b + br) * k;
                             dst[br * lw..(br + 1) * lw]
-                                .copy_from_slice(&self.x_q[row + col0..row + col1]);
+                                .copy_from_slice(&x_q[row + col0..row + col1]);
                         }
                     }
                 }
@@ -463,17 +560,16 @@ impl QuantWorkspace {
                 // Hash family: cached per panel for data-independent
                 // providers; data-dependent providers see the
                 // dequantized unit matrix each call.
-                let units = &self.units_q[..full_blocks * dim];
+                let units = &units_q[..full_blocks * dim];
                 let owned;
                 let family: &HashFamily = if hashes.data_independent() {
-                    if self.families.len() <= panel.index {
-                        debug_assert_eq!(self.families.len(), panel.index);
+                    if families.len() <= panel.index {
+                        debug_assert_eq!(families.len(), panel.index);
                         let data =
                             Tensor::from_fn(&[full_blocks, dim], |i| params.dequantize(units[i]));
-                        self.families
-                            .push(hashes.family(layer, panel.index, pattern.h, &data)?);
+                        families.push(hashes.family(layer, panel.index, pattern.h, &data)?);
                     }
-                    &self.families[panel.index]
+                    &families[panel.index]
                 } else {
                     let data =
                         Tensor::from_fn(&[full_blocks, dim], |i| params.dequantize(units[i]));
@@ -483,8 +579,8 @@ impl QuantWorkspace {
 
                 // Per-panel latency, split by cache outcome (clock reads
                 // only with an active cache and capture on).
-                let panel_t0 = (self.cache.is_some() && greuse_telemetry::enabled())
-                    .then(std::time::Instant::now);
+                let panel_t0 =
+                    (cache.is_some() && greuse_telemetry::enabled()).then(std::time::Instant::now);
 
                 // Temporal-reuse probe over the quantized codes (this
                 // path has no payload-corrupting fault points, so fused
@@ -492,26 +588,18 @@ impl QuantWorkspace {
                 // unit rows live strided in `x_q`; otherwise they were
                 // gathered into `units_q`.
                 let mut warm = false;
-                if let Some(c) = self.cache.as_mut() {
+                if let Some(c) = cache.as_mut() {
                     if fused_ready {
                         let (pdata, stride): (&[u8], usize) = if fused_direct {
-                            (&self.x_q[col0..], k)
+                            (&x_q[col0..], k)
                         } else {
                             (units, dim)
                         };
                         let rlen = if fused_direct { lw } else { dim };
-                        match c.probe(
-                            panel,
-                            self.fused.signatures(),
-                            self.fused.tau(),
-                            pdata,
-                            stride,
-                            rlen,
-                        ) {
+                        match c.probe(panel, fused.signatures(), fused.tau(), pdata, stride, rlen) {
                             Probe::Hit => {
                                 let _warm = greuse_telemetry::span!("exec.warm_cluster");
-                                self.scratch
-                                    .restore(c.assignments(panel.index), c.sizes(panel.index));
+                                scratch.restore(c.assignments(panel.index), c.sizes(panel.index));
                                 stats.cache_hits += 1;
                                 greuse_telemetry::counter!("cache.hit").add(1);
                                 warm = true;
@@ -534,19 +622,18 @@ impl QuantWorkspace {
                 if !warm {
                     let _cluster = greuse_telemetry::span!("exec.cluster");
                     if fused_ready {
-                        self.scratch.cluster_presigned(
-                            &self.deq[..full_blocks * dim],
+                        scratch.cluster_presigned(
+                            &deq_buf[..full_blocks * dim],
                             full_blocks,
                             dim,
-                            self.fused.signatures(),
-                            self.fused.tau(),
+                            fused.signatures(),
+                            fused.tau(),
                         )?;
                     } else {
-                        self.scratch
-                            .cluster_q8(units, full_blocks, params, family)?;
+                        scratch.cluster_q8(units, full_blocks, params, family)?;
                     }
                 }
-                let n_c = self.scratch.num_clusters();
+                let n_c = scratch.num_clusters();
                 stats.n_vectors += full_blocks as u64;
                 stats.n_clusters += n_c as u64;
                 if !warm {
@@ -559,11 +646,11 @@ impl QuantWorkspace {
                     // zero-point fold and requantization run globally
                     // after the panel walk, exactly as on a cold call.
                     let _recover = greuse_telemetry::span!("exec.recover");
-                    if let Some(c) = self.cache.as_ref() {
+                    if let Some(c) = cache.as_ref() {
                         recover_rows_i32(
-                            &mut self.acc[..full_blocks * b * m],
+                            &mut acc[..full_blocks * b * m],
                             c.yc(panel.index, n_c * b * m),
-                            self.scratch.assignments(),
+                            scratch.assignments(),
                             b,
                             m,
                         );
@@ -575,16 +662,16 @@ impl QuantWorkspace {
                     // block layout is already row-contiguous).
                     {
                         let _fold = greuse_telemetry::span!("exec.fold");
-                        let csums = &mut self.csums[..n_c * dim];
+                        let csums = &mut csums[..n_c * dim];
                         csums.fill(0);
                         if fused_direct {
                             // `units` was never filled on this path; member
                             // rows live contiguously in `x_q` at stride `k`.
                             scatter_accumulate_u8_i32(
-                                &self.x_q[col0..],
+                                &x_q[col0..],
                                 k,
                                 lw,
-                                self.scratch.assignments(),
+                                scratch.assignments(),
                                 csums,
                             );
                         } else {
@@ -592,12 +679,12 @@ impl QuantWorkspace {
                                 units,
                                 dim,
                                 dim,
-                                self.scratch.assignments(),
+                                scratch.assignments(),
                                 csums,
                             );
                         }
-                        let stacked = &mut self.stacked_q[..n_c * dim];
-                        for (c, &size) in self.scratch.sizes().iter().enumerate() {
+                        let stacked = &mut stacked_q[..n_c * dim];
+                        for (c, &size) in scratch.sizes().iter().enumerate() {
                             let sz = size as i32;
                             let src = &csums[c * dim..(c + 1) * dim];
                             let dst = &mut stacked[c * dim..(c + 1) * dim];
@@ -608,24 +695,24 @@ impl QuantWorkspace {
                     }
 
                     // Centroid GEMM: (n_c·b) x lw × (lw x M via Bᵀ).
-                    let yc = &mut self.yc[..n_c * b * m];
+                    let yc = &mut yc_buf[..n_c * b * m];
                     gemm_q8_into_with(
-                        &self.stacked_q[..n_c * dim],
-                        &self.wp_q[..m * lw],
+                        &stacked_q[..n_c * dim],
+                        &wp_q[..m * lw],
                         yc,
                         n_c * b,
                         lw,
                         m,
-                        &mut self.gemm,
+                        gemm,
                     );
                     stats.ops.gemm_macs += (n_c * b * lw * m) as u64;
 
                     {
                         let _recover = greuse_telemetry::span!("exec.recover");
                         recover_rows_i32(
-                            &mut self.acc[..full_blocks * b * m],
+                            &mut acc[..full_blocks * b * m],
                             yc,
-                            self.scratch.assignments(),
+                            scratch.assignments(),
                             b,
                             m,
                         );
@@ -635,23 +722,23 @@ impl QuantWorkspace {
                     // Commit this genuine cold-path result (fused signatures
                     // required: the staged first call has none to key on).
                     if fused_ready {
-                        if let Some(c) = self.cache.as_mut() {
+                        if let Some(c) = cache.as_mut() {
                             let (pdata, stride): (&[u8], usize) = if fused_direct {
-                                (&self.x_q[col0..], k)
+                                (&x_q[col0..], k)
                             } else {
-                                (&self.units_q[..full_blocks * dim], dim)
+                                (&units_q[..full_blocks * dim], dim)
                             };
                             let rlen = if fused_direct { lw } else { dim };
                             c.store(
                                 panel,
-                                self.fused.signatures(),
-                                self.fused.tau(),
+                                fused.signatures(),
+                                fused.tau(),
                                 pdata,
                                 stride,
                                 rlen,
-                                self.scratch.assignments(),
-                                self.scratch.sizes(),
-                                &self.yc[..n_c * b * m],
+                                scratch.assignments(),
+                                scratch.sizes(),
+                                &yc_buf[..n_c * b * m],
                             );
                         }
                     }
@@ -665,29 +752,28 @@ impl QuantWorkspace {
             if tail_rows > 0 {
                 {
                     let _gather = greuse_telemetry::span!("exec.gather");
-                    let tail = &mut self.tail_q[..tail_rows * lw];
+                    let tail = &mut tail_q[..tail_rows * lw];
                     for r in 0..tail_rows {
                         let row = (full_blocks * b + r) * k;
-                        tail[r * lw..(r + 1) * lw]
-                            .copy_from_slice(&self.x_q[row + col0..row + col1]);
+                        tail[r * lw..(r + 1) * lw].copy_from_slice(&x_q[row + col0..row + col1]);
                     }
                 }
-                let yt = &mut self.yt[..tail_rows * m];
+                let yt = &mut yt_buf[..tail_rows * m];
                 gemm_q8_into_with(
-                    &self.tail_q[..tail_rows * lw],
-                    &self.wp_q[..m * lw],
+                    &tail_q[..tail_rows * lw],
+                    &wp_q[..m * lw],
                     yt,
                     tail_rows,
                     lw,
                     m,
-                    &mut self.gemm,
+                    gemm,
                 );
                 stats.ops.gemm_macs += (tail_rows * lw * m) as u64;
                 {
                     let _recover = greuse_telemetry::span!("exec.recover");
                     for r in 0..tail_rows {
                         let base = full_blocks * b + r;
-                        let dst = &mut self.acc[base * m..(base + 1) * m];
+                        let dst = &mut acc[base * m..(base + 1) * m];
                         add_assign_i32(dst, &yt[r * m..(r + 1) * m]);
                     }
                 }
@@ -809,6 +895,40 @@ mod tests {
         assert!(ws
             .execute_into(&x, &w, None, &hashes, "c", &mut short)
             .is_err());
+    }
+
+    #[test]
+    fn layers_share_scratch_and_keep_resident_state() {
+        let (xa, wa) = operands(64, 48, 8);
+        let (xb, wb) = operands(30, 20, 6);
+        let pa = ReusePattern::conventional(16, 4);
+        let hashes = RandomHashProvider::new(4);
+        let mut ws = QuantWorkspace::new();
+        let mut ya = vec![0.0f32; 64 * 8];
+        let mut yb = vec![0.0f32; 30 * 6];
+        for _ in 0..3 {
+            let sa = ws
+                .execute_into(&xa, &wa, Some(&pa), &hashes, "a", &mut ya)
+                .unwrap();
+            // The guard's dense re-run of a patterned layer takes its own
+            // slot, leaving the reuse entry's families in place.
+            ws.execute_into(&xa, &wa, None, &hashes, "a", &mut ya)
+                .unwrap();
+            ws.execute_into(&xb, &wb, None, &hashes, "b", &mut yb)
+                .unwrap();
+            let mut fresh_y = vec![0.0f32; ya.len()];
+            let fresh = QuantWorkspace::new()
+                .execute_into(&xa, &wa, Some(&pa), &hashes, "a", &mut fresh_y)
+                .unwrap();
+            assert_eq!(sa, fresh);
+            let mut y = vec![0.0f32; ya.len()];
+            ws.execute_into(&xa, &wa, Some(&pa), &hashes, "a", &mut y)
+                .unwrap();
+            assert_eq!(y, fresh_y);
+        }
+        assert_eq!(ws.layers.len(), 3);
+        let reuse = ws.layers.iter().find(|s| s.key.pattern.is_some()).unwrap();
+        assert!(!reuse.families.is_empty());
     }
 
     #[test]

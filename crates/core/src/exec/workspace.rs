@@ -1,13 +1,20 @@
 //! The panel executor's reusable workspace.
 //!
-//! [`ExecWorkspace`] owns every buffer the reuse executors need — the
-//! reordered operand copies, gathered reuse units, centroids, the
-//! centroid-GEMM output, plus the clustering scratch and cached hash
-//! families — sized once per `(layer, dims, pattern)` and reused across
-//! calls. After the first call on a given shape, [`ExecWorkspace::execute_into`]
-//! performs **zero heap allocations** (with a data-independent hash
-//! provider; data-adapted providers recompute families from the data each
-//! call and therefore allocate inside the provider).
+//! [`ExecWorkspace`] splits executor state in two. **Layer-resident**
+//! entries, one per layer name, hold what depends only on a layer's
+//! `(layer, dims, pattern, spec)` key: the compiled reorder permutations,
+//! the per-panel hash families, the temporal cache, and the latency
+//! histogram handles. One **transient scratch arena** — the reordered
+//! operand copies, gathered reuse units, centroids, the centroid-GEMM
+//! output, the clustering scratch, and the fused-sweep source — is shared
+//! by every layer; it only grows (to the largest layer seen) and each call
+//! slices it to its exact size. A network forward therefore walks its
+//! layers through one workspace without rebuilding anything: after every
+//! layer has run once, [`ExecWorkspace::execute_into`] performs **zero
+//! heap allocations** and every patterned layer runs the fused pipeline
+//! (with a data-independent hash provider; data-adapted providers
+//! recompute families from the data each call and therefore allocate
+//! inside the provider, and stay on the staged pipeline).
 //!
 //! [`PanelIter`] is the shared panel walk driving both reuse directions:
 //! vertical slices the im2col matrix's *columns* into panels of width
@@ -104,9 +111,10 @@ impl Iterator for PanelIter {
 /// differential-testing oracle and for A/B benchmarking.
 ///
 /// The fused sweep needs the panel's hash family *before* the data is
-/// gathered, so it engages only once the family is cached — i.e. from
-/// the second call on a stable workspace key, with a data-independent
-/// hash provider. The first call (and every call of data-adapted
+/// gathered, so it engages only once the family is cached in the layer's
+/// resident entry — i.e. from the layer's second call on a stable key,
+/// with a data-independent hash provider, however many other layers ran
+/// in between. A layer's first call (and every call of data-adapted
 /// providers) runs staged regardless of the mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PipelineMode {
@@ -117,7 +125,7 @@ pub enum PipelineMode {
     Staged,
 }
 
-/// What a workspace is currently sized for.
+/// What a layer entry was built for: the workspace key.
 #[derive(Debug, Clone, PartialEq)]
 struct WsKey {
     layer: String,
@@ -126,6 +134,95 @@ struct WsKey {
     m: usize,
     pattern: ReusePattern,
     spec: Option<ConvSpec>,
+}
+
+impl WsKey {
+    fn is(
+        &self,
+        layer: &str,
+        n: usize,
+        k: usize,
+        m: usize,
+        pattern: &ReusePattern,
+        spec: Option<&ConvSpec>,
+    ) -> bool {
+        self.layer == layer
+            && self.n == n
+            && self.k == k
+            && self.m == m
+            && self.pattern == *pattern
+            && self.spec.as_ref() == spec
+    }
+}
+
+/// Layer-resident executor state: everything that depends only on the
+/// layer's key, built once by [`ExecWorkspace::prepare`] and kept across
+/// calls — the compiled permutations, the per-panel hash families (whose
+/// presence is what lets the fused sweep engage), the temporal cache,
+/// and the latency-histogram handles.
+#[derive(Debug)]
+struct LayerState {
+    key: WsKey,
+    col_perm: Option<Permutation>,
+    row_perm: Option<Permutation>,
+    families: Vec<HashFamily>,
+    cache: Option<ReuseCache<f32, f32>>,
+    /// Per-call latency histograms for this layer, `[warm, fused, staged]`.
+    /// Resolved here (registry lookup builds a key string) so
+    /// `execute_into` only records.
+    lat: [&'static greuse_telemetry::metrics::Hist; 3],
+}
+
+impl LayerState {
+    fn new(
+        layer: &str,
+        n: usize,
+        k: usize,
+        m: usize,
+        pattern: &ReusePattern,
+        spec: Option<&ConvSpec>,
+        temporal_cache: bool,
+    ) -> Self {
+        let col_perm = pattern.order.needs_layout_pass().then(|| match spec {
+            Some(s) => column_permutation(pattern.order, s),
+            // The executor only knows K; synthesize a pseudo-spec with a
+            // 1x1 kernel (matching `execute_reuse`'s behaviour).
+            None => column_permutation(pattern.order, &ConvSpec::new(k, 1, 1, 1)),
+        });
+        let row_perm = pattern.row_order.needs_layout_pass().then(|| {
+            let (oh, ow) = match spec {
+                Some(s) => output_hw_for_rows(s, n).unwrap_or((n, 1)),
+                None => (n, 1),
+            };
+            row_permutation(pattern.row_order, oh, ow)
+        });
+        let cache = temporal_cache.then(|| {
+            let mut cache = ReuseCache::default();
+            if pattern.direction == ReuseDirection::Vertical {
+                let l = pattern.l.min(k);
+                let b = pattern.block_rows.min(n);
+                // Panel widths sum to k, so one `full_blocks * b * k`
+                // arena holds every panel's unit data.
+                cache.reserve(k.div_ceil(l), n / b, b, k, m);
+            }
+            cache
+        });
+        LayerState {
+            key: WsKey {
+                layer: layer.to_string(),
+                n,
+                k,
+                m,
+                pattern: *pattern,
+                spec: spec.copied(),
+            },
+            col_perm,
+            row_perm,
+            families: Vec::new(),
+            cache,
+            lat: layer_latency_hists(layer, "f32"),
+        }
+    }
 }
 
 /// Per-panel scratch buffers shared by both direction kernels. All are
@@ -154,31 +251,72 @@ pub(crate) struct PanelBuffers {
     pub gemm: GemmScratch,
 }
 
-/// Arena of reusable executor state: reorder buffers, panel buffers,
-/// clustering scratch, and cached per-panel hash families.
+/// Grows `buf` to at least `len` elements, never shrinking it. Transient
+/// scratch is sized to the largest layer a workspace has seen and sliced
+/// to each call's exact size, so switching layers costs no resize and no
+/// zero-fill.
+pub(crate) fn grow<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, T::default());
+    }
+}
+
+/// Picks the resident entry for a call — the one-key-per-layer policy
+/// shared by the f32 and int8 workspaces. The last selected entry is
+/// checked first (consecutive calls of one layer); otherwise the entry in
+/// the call's slot is selected when its key matches, rebuilt in place
+/// when it does not, and a new entry is appended only for a slot not seen
+/// before. Returns the entry's index.
+pub(crate) fn select_entry<T>(
+    entries: &mut Vec<T>,
+    active: usize,
+    is_key: impl Fn(&T) -> bool,
+    same_slot: impl Fn(&T) -> bool,
+    build: impl FnOnce() -> Result<T>,
+) -> Result<usize> {
+    if entries.get(active).is_some_and(&is_key) {
+        return Ok(active);
+    }
+    Ok(match entries.iter().position(same_slot) {
+        Some(i) if is_key(&entries[i]) => i,
+        Some(i) => {
+            entries[i] = build()?;
+            i
+        }
+        None => {
+            entries.push(build()?);
+            entries.len() - 1
+        }
+    })
+}
+
+/// Reusable executor state in two parts: **layer-resident** entries (one
+/// per layer name, holding the per-key constants — permutations, cached
+/// hash families, temporal cache, histogram handles) and one **transient
+/// scratch arena** (reorder buffers, panel buffers, clustering scratch,
+/// fused-sweep source) shared by every layer.
 ///
 /// Create once (or check out from a pool), then call
-/// [`ExecWorkspace::execute_into`] repeatedly; the workspace re-sizes
-/// itself whenever the `(layer, dims, pattern)` key changes and reaches a
-/// zero-allocation steady state on a stable key.
+/// [`ExecWorkspace::execute_into`] repeatedly — for one layer or for every
+/// layer of a network in turn. Calling a known layer only selects its
+/// entry; an entry is rebuilt (in place) only when that layer's
+/// `(dims, pattern, spec)` key changes. The scratch only ever grows, to
+/// the largest layer seen, so the workspace reaches a zero-allocation
+/// steady state once every layer has run.
 #[derive(Debug, Default)]
 pub struct ExecWorkspace {
-    key: Option<WsKey>,
-    col_perm: Option<Permutation>,
-    row_perm: Option<Permutation>,
+    /// Layer-resident state, at most one entry per layer name.
+    layers: Vec<LayerState>,
+    /// The entry the last `prepare()` selected.
+    active: usize,
     x_buf: Vec<f32>,
     w_buf: Vec<f32>,
     y_buf: Vec<f32>,
     buf: PanelBuffers,
     scratch: ClusterScratch,
-    families: Vec<HashFamily>,
     fused: FusedPanelSource,
     mode: PipelineMode,
-    cache: Option<ReuseCache<f32, f32>>,
-    /// Per-call latency histograms for this layer, `[warm, fused, staged]`.
-    /// Resolved in `prepare()` (the allocating phase — registry lookup
-    /// builds a key string) so `execute_into` only records.
-    lat: Option<[&'static greuse_telemetry::metrics::Hist; 3]>,
+    temporal_cache: bool,
 }
 
 impl ExecWorkspace {
@@ -189,22 +327,23 @@ impl ExecWorkspace {
 
     /// Enables or disables the temporal (cross-call) reuse cache. Off by
     /// default. When enabled, panels whose input is bit-identical to the
-    /// previous call replay the cached clustering and centroid-GEMM
-    /// output instead of re-clustering — results are unchanged either
-    /// way (hits are validated by exact data comparison), only the cost
-    /// shrinks. Toggling resets the workspace key so the next call
-    /// re-prepares (and sizes the cache) up front.
+    /// previous call *of the same layer* replay the cached clustering and
+    /// centroid-GEMM output instead of re-clustering — results are
+    /// unchanged either way (hits are validated by exact data
+    /// comparison), only the cost shrinks. Toggling drops every layer
+    /// entry so the next call of each layer re-prepares (and sizes its
+    /// cache) up front.
     pub fn set_temporal_cache(&mut self, enabled: bool) {
-        if enabled == self.cache.is_some() {
+        if enabled == self.temporal_cache {
             return;
         }
-        self.cache = enabled.then(ReuseCache::default);
-        self.key = None;
+        self.temporal_cache = enabled;
+        self.layers.clear();
     }
 
     /// Whether the temporal reuse cache is enabled.
     pub fn temporal_cache_enabled(&self) -> bool {
-        self.cache.is_some()
+        self.temporal_cache
     }
 
     /// Selects the per-panel pipeline (see [`PipelineMode`]). The default
@@ -219,11 +358,20 @@ impl ExecWorkspace {
         self.mode
     }
 
-    /// Pre-sizes the workspace for one layer's GEMM: precompiles the
-    /// pattern's row/column permutations and allocates every buffer, so a
-    /// later [`ExecWorkspace::execute_into`] on the same key allocates
-    /// nothing. Called implicitly by `execute_into`; call it explicitly to
-    /// front-load the work (e.g. from a deployment plan).
+    /// The shared GEMM pack buffers, lent to callers that run an exact
+    /// dense product on the workspace's behalf (the guard's fallback).
+    pub(crate) fn gemm_scratch(&mut self) -> &mut GemmScratch {
+        &mut self.buf.gemm
+    }
+
+    /// Prepares the workspace for one layer's GEMM and selects that
+    /// layer's entry: on first sight of the layer (or when its key
+    /// changed) compiles the pattern's row/column permutations and
+    /// resolves the layer's histogram handles; in every case grows the
+    /// shared scratch to fit, so a later [`ExecWorkspace::execute_into`]
+    /// on the same key allocates nothing. Called implicitly by
+    /// `execute_into`; call it explicitly to front-load the work (e.g.
+    /// from a deployment plan).
     ///
     /// # Errors
     ///
@@ -239,95 +387,65 @@ impl ExecWorkspace {
         spec: Option<&ConvSpec>,
     ) -> Result<()> {
         pattern.validate(n, k)?;
-        let matches = self.key.as_ref().is_some_and(|key| {
-            key.layer == layer
-                && key.n == n
-                && key.k == k
-                && key.m == m
-                && key.pattern == *pattern
-                && key.spec.as_ref() == spec
-        });
-        if matches {
-            return Ok(());
+        let (col_perm, row_perm) = (
+            pattern.order.needs_layout_pass(),
+            pattern.row_order.needs_layout_pass(),
+        );
+        if col_perm || row_perm {
+            grow(&mut self.x_buf, n * k);
         }
-
-        self.col_perm = if pattern.order.needs_layout_pass() {
-            let perm = match spec {
-                Some(s) => column_permutation(pattern.order, s),
-                // The executor only knows K; synthesize a pseudo-spec with
-                // a 1x1 kernel (matching `execute_reuse`'s behaviour).
-                None => column_permutation(pattern.order, &ConvSpec::new(k, 1, 1, 1)),
-            };
-            Some(perm)
-        } else {
-            None
-        };
-        self.row_perm = if pattern.row_order.needs_layout_pass() {
-            let (oh, ow) = match spec {
-                Some(s) => output_hw_for_rows(s, n).unwrap_or((n, 1)),
-                None => (n, 1),
-            };
-            Some(row_permutation(pattern.row_order, oh, ow))
-        } else {
-            None
-        };
-
-        if self.col_perm.is_some() || self.row_perm.is_some() {
-            self.x_buf.resize(n * k, 0.0);
+        if col_perm {
+            grow(&mut self.w_buf, m * k);
         }
-        if self.col_perm.is_some() {
-            self.w_buf.resize(m * k, 0.0);
+        if row_perm {
+            grow(&mut self.y_buf, n * m);
         }
-        if self.row_perm.is_some() {
-            self.y_buf.resize(n * m, 0.0);
-        }
-
+        let buf = &mut self.buf;
         match pattern.direction {
             ReuseDirection::Vertical => {
                 let l = pattern.l.min(k);
                 let b = pattern.block_rows.min(n);
                 let full_blocks = n / b;
                 let dim = b * l;
-                self.buf.units.resize(full_blocks * dim, 0.0);
-                self.buf.wp_t.resize(l * m, 0.0);
-                self.buf.centroids.resize(full_blocks * dim, 0.0);
-                self.buf.stacked.resize(full_blocks * dim, 0.0);
-                self.buf.yc.resize(full_blocks * b * m, 0.0);
                 let tail = n - full_blocks * b;
-                self.buf.tail.resize(tail * l, 0.0);
-                self.buf.yt.resize(tail * m, 0.0);
-                self.buf.folded.clear();
+                grow(&mut buf.units, full_blocks * dim);
+                grow(&mut buf.wp_t, l * m);
+                grow(&mut buf.centroids, full_blocks * dim);
+                grow(&mut buf.stacked, full_blocks * dim);
+                grow(&mut buf.yc, full_blocks * b * m);
+                grow(&mut buf.tail, tail * l);
+                grow(&mut buf.yt, tail * m);
                 self.fused.reserve(pattern.h, dim, full_blocks);
-                if let Some(cache) = self.cache.as_mut() {
-                    // Panel widths sum to k, so one `full_blocks * b * k`
-                    // arena holds every panel's unit data.
-                    cache.reserve(k.div_ceil(l), full_blocks, b, k, m);
-                }
             }
             ReuseDirection::Horizontal => {
                 let l = pattern.l.min(n);
-                self.buf.units.resize(k * l, 0.0);
-                self.buf.centroids.resize(k * l, 0.0);
-                self.buf.stacked.resize(l * k, 0.0);
-                self.buf.folded.resize(k * m, 0.0);
-                self.buf.yc.resize(l * m, 0.0);
-                self.buf.wp_t.clear();
-                self.buf.tail.clear();
-                self.buf.yt.clear();
+                grow(&mut buf.units, k * l);
+                grow(&mut buf.centroids, k * l);
+                grow(&mut buf.stacked, l * k);
+                grow(&mut buf.folded, k * m);
+                grow(&mut buf.yc, l * m);
                 self.fused.reserve(pattern.h, l, k);
             }
         }
 
-        self.families.clear();
-        self.lat = Some(layer_latency_hists(layer, "f32"));
-        self.key = Some(WsKey {
-            layer: layer.to_string(),
-            n,
-            k,
-            m,
-            pattern: *pattern,
-            spec: spec.copied(),
-        });
+        let temporal_cache = self.temporal_cache;
+        self.active = select_entry(
+            &mut self.layers,
+            self.active,
+            |s| s.key.is(layer, n, k, m, pattern, spec),
+            |s| s.key.layer == layer,
+            || {
+                Ok(LayerState::new(
+                    layer,
+                    n,
+                    k,
+                    m,
+                    pattern,
+                    spec,
+                    temporal_cache,
+                ))
+            },
+        )?;
         Ok(())
     }
 
@@ -372,23 +490,28 @@ impl ExecWorkspace {
 
         // Clock reads only while capture is active; the handles were
         // resolved in `prepare`, so the steady state stays alloc-free.
-        let lat = self.lat;
         let t0 = greuse_telemetry::enabled().then(std::time::Instant::now);
 
         let ExecWorkspace {
-            col_perm,
-            row_perm,
+            layers,
+            active,
             x_buf,
             w_buf,
             y_buf,
             buf,
             scratch,
-            families,
             fused,
             mode,
-            cache,
             ..
         } = self;
+        let LayerState {
+            col_perm,
+            row_perm,
+            families,
+            cache,
+            lat,
+            ..
+        } = &mut layers[*active];
 
         // Materialize the reuse order as explicit reorders (Insight-2).
         // Both reorders fuse into a single gather pass; the latency model
@@ -396,17 +519,22 @@ impl ExecWorkspace {
         let mut layout_passes = 0u64;
         let reorder_span = greuse_telemetry::span!("exec.reorder");
         let x_src = x.as_slice();
-        let x_work: &[f32] = match (&col_perm, &row_perm) {
+        // Scratch buffers are sized for the largest layer seen; every use
+        // slices them to this call's exact size.
+        let x_work: &[f32] = match (&*col_perm, &*row_perm) {
             (None, None) => x_src,
             (Some(cp), None) => {
+                let x_buf = &mut x_buf[..n * k];
                 cp.apply_cols_into(x_src, n, x_buf)?;
                 x_buf
             }
             (None, Some(rp)) => {
+                let x_buf = &mut x_buf[..n * k];
                 rp.apply_rows_into(x_src, k, x_buf)?;
                 x_buf
             }
             (Some(cp), Some(rp)) => {
+                let x_buf = &mut x_buf[..n * k];
                 for (i, &sr) in rp.as_slice().iter().enumerate() {
                     let src_row = &x_src[sr * k..(sr + 1) * k];
                     let dst_row = &mut x_buf[i * k..(i + 1) * k];
@@ -425,8 +553,9 @@ impl ExecWorkspace {
         }
         // The column reorder must hit X and W identically so the exact
         // product is unchanged; only the reuse-unit contents change.
-        let w_work: &[f32] = match &col_perm {
+        let w_work: &[f32] = match &*col_perm {
             Some(cp) => {
+                let w_buf = &mut w_buf[..m * k];
                 cp.apply_cols_into(w.as_slice(), m, w_buf)?;
                 w_buf
             }
@@ -440,8 +569,8 @@ impl ExecWorkspace {
 
         let mut stats = ReuseStats::default();
         {
-            let y_work: &mut [f32] = match &row_perm {
-                Some(_) => y_buf,
+            let y_work: &mut [f32] = match &*row_perm {
+                Some(_) => &mut y_buf[..n * m],
                 None => y,
             };
             y_work.fill(0.0);
@@ -473,7 +602,7 @@ impl ExecWorkspace {
 
         // Restore the original row order: working row `i` is original row
         // `perm[i]`, so scatter rather than build the inverse permutation.
-        if let Some(rp) = &row_perm {
+        if let Some(rp) = &*row_perm {
             let _scatter = greuse_telemetry::span!("exec.scatter");
             for (i, &orig) in rp.as_slice().iter().enumerate() {
                 y[orig * m..(orig + 1) * m].copy_from_slice(&y_buf[i * m..(i + 1) * m]);
@@ -483,7 +612,7 @@ impl ExecWorkspace {
         // Transformation phase: the base im2col pass plus one pass per
         // layout permutation (the paper includes reorder costs, §5.1).
         stats.ops.transform_elems = (n * k) as u64 * (1 + layout_passes);
-        if let (Some(t0), Some(lat)) = (t0, lat) {
+        if let Some(t0) = t0 {
             lat[latency_mode_index(&stats, fused_engaged)]
                 .record_ns(t0.elapsed().as_nanos() as u64);
         }
@@ -601,6 +730,51 @@ mod tests {
         assert_eq!(PanelIter::new(0, 8).count(), 0);
         // step 0 is clamped to 1 rather than looping forever.
         assert_eq!(PanelIter::new(3, 0).count(), 3);
+    }
+
+    /// Runs one call of `layer` on `ws` and on a fresh workspace; both
+    /// must agree bit for bit.
+    fn run_both(
+        ws: &mut ExecWorkspace,
+        layer: &str,
+        x: &Tensor<f32>,
+        w: &Tensor<f32>,
+        pattern: &ReusePattern,
+    ) -> Vec<f32> {
+        let hashes = crate::RandomHashProvider::new(3);
+        let mut y = vec![0.0f32; x.rows() * w.rows()];
+        let s = ws
+            .execute_into(x, w, None, pattern, &hashes, layer, &mut y)
+            .unwrap();
+        let mut fresh_y = vec![0.0f32; y.len()];
+        let fresh = ExecWorkspace::new()
+            .execute_into(x, w, None, pattern, &hashes, layer, &mut fresh_y)
+            .unwrap();
+        assert_eq!(s, fresh, "{layer}");
+        assert_eq!(y, fresh_y, "{layer}");
+        y
+    }
+
+    #[test]
+    fn alternating_layers_stay_resident_and_match_fresh() {
+        let xa = Tensor::from_fn(&[64, 48], |i| ((i % 101) as f32 * 0.13).sin());
+        let wa = Tensor::from_fn(&[8, 48], |i| ((i % 37) as f32 * 0.29).cos());
+        let xb = Tensor::from_fn(&[30, 20], |i| ((i % 53) as f32 * 0.41).sin());
+        let wb = Tensor::from_fn(&[6, 20], |i| ((i % 29) as f32 * 0.17).cos());
+        let pa = ReusePattern::conventional(16, 4);
+        let pb = ReusePattern::conventional(10, 3).with_block_rows(2);
+        let mut ws = ExecWorkspace::new();
+        for _ in 0..3 {
+            run_both(&mut ws, "a", &xa, &wa, &pa);
+            run_both(&mut ws, "b", &xb, &wb, &pb);
+        }
+        assert_eq!(ws.layers.len(), 2);
+        assert!(ws.layers.iter().all(|s| !s.families.is_empty()));
+        // A changed key replaces the layer's entry instead of adding one.
+        let pb2 = ReusePattern::conventional(20, 2);
+        run_both(&mut ws, "b", &xb, &wb, &pb2);
+        assert_eq!(ws.layers.len(), 2);
+        run_both(&mut ws, "a", &xa, &wa, &pa);
     }
 
     #[test]

@@ -9,8 +9,16 @@
 //! blocks, integer centroid folding, packed u8×i8 centroid GEMM); layers
 //! without one run one dense u8×i8 GEMM. Statistics use the same
 //! lock-free per-layer accumulators and telemetry tags as the f32
-//! backend, and workspaces come from a pool so concurrent callers never
-//! share a scratch arena.
+//! backend.
+//!
+//! Workspaces come from a pool, as in the f32 backend: concurrent
+//! callers never share a scratch arena, and each pooled
+//! [`QuantWorkspace`] keeps one resident entry per layer — the layer's
+//! `i8` weight codes and row sums, hash families, and histogram handles —
+//! beside one scratch arena shared by all layers. A single-threaded
+//! forward therefore quantizes each layer's weights once, not once per
+//! call, and patterned layers run the fused pipeline from the second
+//! image on.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;

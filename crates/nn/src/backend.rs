@@ -8,7 +8,7 @@
 
 use parking_lot_shim::Mutex;
 
-use greuse_tensor::{gemm_bt_f32, ConvSpec, Tensor, TensorError};
+use greuse_tensor::{gemm_bt_f32, gemm_bt_f32_into, ConvSpec, Tensor, TensorError};
 
 // `parking_lot` is only needed by the core crate; keep this substrate's
 // dependency surface minimal with a std shim exposing the same call shape.
@@ -101,6 +101,33 @@ impl ConvBackend for DenseBackend {
         // X × Wᵀ without materializing the transpose: the GEMM packing
         // stage reads the M x K weight matrix column-wise directly.
         gemm_bt_f32(x, weights)
+    }
+
+    /// Writes the packed `X × Wᵀ` straight into `y` — the same kernel and
+    /// summation order as [`DenseBackend::conv_gemm`], so bit-identical,
+    /// with no second `N x M` tensor.
+    fn conv_gemm_into(
+        &self,
+        _layer: &str,
+        _spec: &ConvSpec,
+        x: &Tensor<f32>,
+        weights: &Tensor<f32>,
+        y: &mut Tensor<f32>,
+    ) -> Result<(), TensorError> {
+        let rank2 = x.shape().rank() == 2 && weights.shape().rank() == 2;
+        if !rank2 || x.cols() != weights.cols() {
+            // The allocating path owns the operand-shape error.
+            return gemm_bt_f32(x, weights).map(|_| ());
+        }
+        let (n, k, m) = (x.rows(), x.cols(), weights.rows());
+        if y.shape().dims() != [n, m] {
+            return Err(TensorError::ShapeMismatch {
+                op: "conv_gemm_into",
+                expected: vec![n, m],
+                actual: y.shape().dims().to_vec(),
+            });
+        }
+        gemm_bt_f32_into(x.as_slice(), weights.as_slice(), y.as_mut_slice(), n, k, m)
     }
 }
 

@@ -35,7 +35,9 @@ impl MaxPool2d {
         (h / self.size, w / self.size)
     }
 
-    fn pool(&self, x: &Tensor<f32>) -> Result<(Tensor<f32>, Vec<usize>)> {
+    /// Pools `x`; with `track` also returns each output's argmax input
+    /// offset (the training cache), otherwise an empty vector.
+    fn pool(&self, x: &Tensor<f32>, track: bool) -> Result<(Tensor<f32>, Vec<usize>)> {
         let dims = x.shape().dims();
         if dims.len() != 3 {
             return Err(NnError::BadInput {
@@ -52,8 +54,13 @@ impl MaxPool2d {
             });
         }
         let mut out = Tensor::zeros(&[c, oh, ow]);
-        let mut argmax = vec![0usize; c * oh * ow];
+        let mut argmax = if track {
+            vec![0usize; c * oh * ow]
+        } else {
+            Vec::new()
+        };
         let xs = x.as_slice();
+        let outs = out.as_mut_slice();
         for ch in 0..c {
             for oy in 0..oh {
                 for ox in 0..ow {
@@ -70,8 +77,11 @@ impl MaxPool2d {
                             }
                         }
                     }
-                    out[[ch, oy, ox]] = best;
-                    argmax[(ch * oh + oy) * ow + ox] = best_i;
+                    let o = (ch * oh + oy) * ow + ox;
+                    outs[o] = best;
+                    if track {
+                        argmax[o] = best_i;
+                    }
                 }
             }
         }
@@ -84,7 +94,7 @@ impl MaxPool2d {
     ///
     /// Returns [`NnError::BadInput`] on a non-rank-3 or too-small input.
     pub fn forward(&self, x: &Tensor<f32>) -> Result<Tensor<f32>> {
-        Ok(self.pool(x)?.0)
+        Ok(self.pool(x, false)?.0)
     }
 
     /// Training pass (caches argmax positions).
@@ -94,7 +104,7 @@ impl MaxPool2d {
     /// Same as [`MaxPool2d::forward`].
     pub fn forward_train(&mut self, x: &Tensor<f32>) -> Result<Tensor<f32>> {
         let dims = x.shape().dims().to_vec();
-        let (out, argmax) = self.pool(x)?;
+        let (out, argmax) = self.pool(x, true)?;
         self.cache = Some(PoolCache {
             argmax,
             in_dims: [dims[0], dims[1], dims[2]],

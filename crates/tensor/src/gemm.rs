@@ -215,6 +215,32 @@ pub fn gemm_bt_f32(a: &Tensor<f32>, bt: &Tensor<f32>) -> Result<Tensor<f32>, Ten
     Ok(c)
 }
 
+/// [`gemm_bt_f32`] into a caller-provided buffer: `C = A × Bᵀ` with
+/// `A`: `m x k`, `bt`: `n x k`, `C`: `m x n`. `c` is zeroed first and the
+/// pack buffers live in thread-local storage, so the result is
+/// bit-identical to [`gemm_bt_f32`] and nothing is allocated in steady
+/// state.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when a slice length disagrees
+/// with its dimensions.
+pub fn gemm_bt_f32_into(
+    a: &[f32],
+    bt: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Result<(), TensorError> {
+    check_lens("gemm_bt_f32_into", a, bt.len(), c, m, k, n)?;
+    c.fill(0.0);
+    with_tls_scratch(|scratch| {
+        gemm_packed(a, BLayout::Transposed(bt), c, m, k, n, scratch);
+    });
+    Ok(())
+}
+
 /// [`gemm_bt_f32`] over raw slices with caller-owned pack buffers:
 /// `C = A × Bᵀ` with `A`: `m x k`, `bt`: `n x k`, `C`: `m x n`.
 ///
@@ -577,6 +603,11 @@ mod tests {
         gemm_bt_f32_into_with(a.as_slice(), bt.as_slice(), &mut c, 14, 26, 9, &mut scratch)
             .unwrap();
         assert_eq!(&c[..], via_bt.as_slice());
+
+        let mut c = vec![f32::NAN; 14 * 9];
+        gemm_bt_f32_into(a.as_slice(), bt.as_slice(), &mut c, 14, 26, 9).unwrap();
+        assert_eq!(&c[..], via_bt.as_slice());
+        assert!(gemm_bt_f32_into(a.as_slice(), bt.as_slice(), &mut c[1..], 14, 26, 9).is_err());
     }
 
     #[test]

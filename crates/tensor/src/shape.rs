@@ -72,13 +72,13 @@ impl Shape {
                 actual: idx.to_vec(),
             });
         }
+        // Horner form over the extents: no strides vector per call.
         let mut off = 0usize;
-        let strides = self.strides();
-        for (axis, (&i, &d)) in idx.iter().zip(self.dims.iter()).enumerate() {
+        for (&i, &d) in idx.iter().zip(self.dims.iter()) {
             if i >= d {
                 return Err(TensorError::IndexOutOfBounds { index: i, bound: d });
             }
-            off += i * strides[axis];
+            off = off * d + i;
         }
         Ok(off)
     }
@@ -95,11 +95,12 @@ impl Shape {
                 bound: self.len(),
             });
         }
+        // Peel coordinates off the fastest axis first (inverse Horner).
         let mut rem = offset;
         let mut idx = vec![0usize; self.dims.len()];
-        for (axis, stride) in self.strides().iter().enumerate() {
-            idx[axis] = rem / stride;
-            rem %= stride;
+        for (i, &d) in idx.iter_mut().zip(self.dims.iter()).rev() {
+            *i = rem % d;
+            rem /= d;
         }
         Ok(idx)
     }
@@ -172,6 +173,26 @@ mod tests {
         assert!(matches!(
             s.offset(&[3, 0]),
             Err(TensorError::IndexOutOfBounds { index: 3, bound: 3 })
+        ));
+    }
+
+    #[test]
+    fn offset_matches_stride_dot_product() {
+        let s = Shape::new(&[3, 4, 2, 5]);
+        let strides = s.strides();
+        for flat in 0..s.len() {
+            let idx = s.unravel(flat).unwrap();
+            let dot: usize = idx.iter().zip(&strides).map(|(i, st)| i * st).sum();
+            assert_eq!(s.offset(&idx).unwrap(), dot);
+        }
+    }
+
+    #[test]
+    fn offset_reports_first_out_of_bounds_axis() {
+        let s = Shape::new(&[3, 4, 5]);
+        assert!(matches!(
+            s.offset(&[1, 9, 7]),
+            Err(TensorError::IndexOutOfBounds { index: 9, bound: 4 })
         ));
     }
 
