@@ -28,6 +28,13 @@ cargo test -q -p greuse-telemetry --no-default-features
 echo "==> golden-vector conformance suite"
 cargo test -q -p greuse --test golden_conformance
 
+# Whole-network dense conformance: ResNet-18 (paper scale) and CifarNet
+# logits through DenseBackend's packed X·Wᵀ GEMM (weights read in place,
+# only activations packed) must equal, bit for bit, a backend running the
+# scalar reference kernel on an explicit transpose.
+echo "==> dense-path conformance suite"
+cargo test -q -p greuse-nn --test dense_conformance
+
 # Whole-network steady state: every layer of a CifarNet (f32) and a
 # SqueezeNet (int8) forward keeps its executor state resident, so after
 # warm-up no conv GEMM allocates and no patterned layer runs staged. A

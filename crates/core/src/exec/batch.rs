@@ -483,10 +483,18 @@ impl BatchExecutor {
     /// bit-identical to a sequential [`QuantWorkspace`] loop regardless
     /// of scheduling, for the same reasons as the f32 path.
     ///
+    /// `layer` keys the thread-local workspace's resident state, which
+    /// includes the int8 codes of `w`, cached per `(layer, n, k, m,
+    /// pattern)` and *not* re-derived from `w` on later calls. Use one
+    /// layer name per weight tensor: a second call under the same name
+    /// and shape with different weights would reuse the first weights'
+    /// codes.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`BatchExecutor::execute`], plus the quantized
     /// executor's pattern restrictions (default-layout patterns only).
+    #[allow(clippy::too_many_arguments)] // batch operands + threading + layer key
     pub fn execute_quantized(
         &mut self,
         xs: &[Tensor<f32>],
@@ -494,15 +502,18 @@ impl BatchExecutor {
         pattern: Option<&ReusePattern>,
         hashes: &dyn HashProvider,
         threads: usize,
+        layer: &str,
         ys: &mut [Tensor<f32>],
     ) -> Result<ReuseStats> {
-        self.dispatch_quantized(xs, w, pattern, hashes, threads, "batch", ys)?;
+        self.dispatch_quantized(xs, w, pattern, hashes, threads, layer, ys)?;
         self.fold_slots(xs.len())
     }
 
     /// Int8 sibling of [`BatchExecutor::execute_each`]: per-image
     /// results through thread-local [`QuantWorkspace`]s, `pattern: None`
-    /// running each image dense-quantized.
+    /// running each image dense-quantized. `layer` follows the
+    /// one-name-per-weight-tensor contract of
+    /// [`BatchExecutor::execute_quantized`].
     ///
     /// # Errors
     ///
@@ -700,6 +711,32 @@ mod tests {
     }
 
     #[test]
+    fn quantized_batch_keys_weights_by_layer_name() {
+        // Two same-shape weight tensors run back to back on one thread
+        // under their own layer names: the second call must see its own
+        // weights, not int8 codes cached for the first.
+        let xs: Vec<Tensor<f32>> = (0..2).map(|i| rand_mat(24, 16, 60 + i)).collect();
+        let (w1, w2) = (rand_mat(6, 16, 70), rand_mat(6, 16, 71));
+        let hashes = RandomHashProvider::new(72);
+        for pattern in [None, Some(ReusePattern::conventional(8, 2))] {
+            let mut want: Vec<Tensor<f32>> = (0..2).map(|_| Tensor::zeros(&[24, 6])).collect();
+            let mut fresh = QuantWorkspace::new();
+            for (x, y) in xs.iter().zip(&mut want) {
+                fresh
+                    .execute_into(x, &w2, pattern.as_ref(), &hashes, "w2", y.as_mut_slice())
+                    .unwrap();
+            }
+            let mut exec = BatchExecutor::new();
+            let mut ys: Vec<Tensor<f32>> = (0..2).map(|_| Tensor::zeros(&[24, 6])).collect();
+            exec.execute_quantized(&xs, &w1, pattern.as_ref(), &hashes, 1, "w1", &mut ys)
+                .unwrap();
+            exec.execute_quantized(&xs, &w2, pattern.as_ref(), &hashes, 1, "w2", &mut ys)
+                .unwrap();
+            assert_eq!(ys, want, "pattern {pattern:?}");
+        }
+    }
+
+    #[test]
     fn quantized_batch_bit_identical_to_sequential() {
         // The int8 batch path must match a sequential QuantWorkspace
         // loop bit for bit at any thread count, with and without a
@@ -722,7 +759,15 @@ mod tests {
                 let mut par_ys: Vec<Tensor<f32>> =
                     (0..xs.len()).map(|_| Tensor::zeros(&[24, 6])).collect();
                 let par_stats = BatchExecutor::new()
-                    .execute_quantized(&xs, &w, pattern.as_ref(), &hashes, threads, &mut par_ys)
+                    .execute_quantized(
+                        &xs,
+                        &w,
+                        pattern.as_ref(),
+                        &hashes,
+                        threads,
+                        "batch",
+                        &mut par_ys,
+                    )
                     .unwrap();
                 assert_eq!(seq_ys, par_ys, "outputs differ at {threads} threads");
                 assert_eq!(

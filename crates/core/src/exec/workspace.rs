@@ -232,8 +232,6 @@ pub(crate) struct PanelBuffers {
     /// Gathered reuse units, one per row (vertical: 2-D blocks flattened;
     /// horizontal: panel columns).
     pub units: Vec<f32>,
-    /// Vertical: transposed weight panel (`lw x M`).
-    pub wp_t: Vec<f32>,
     /// Cluster centroids (`n_c x dim`).
     pub centroids: Vec<f32>,
     /// Vertical: stacked centroid blocks (`n_c·b x lw`); horizontal: the
@@ -409,7 +407,6 @@ impl ExecWorkspace {
                 let dim = b * l;
                 let tail = n - full_blocks * b;
                 grow(&mut buf.units, full_blocks * dim);
-                grow(&mut buf.wp_t, l * m);
                 grow(&mut buf.centroids, full_blocks * dim);
                 grow(&mut buf.stacked, full_blocks * dim);
                 grow(&mut buf.yc, full_blocks * b * m);

@@ -98,8 +98,8 @@ impl ConvBackend for DenseBackend {
         x: &Tensor<f32>,
         weights: &Tensor<f32>,
     ) -> Result<Tensor<f32>, TensorError> {
-        // X × Wᵀ without materializing the transpose: the GEMM packing
-        // stage reads the M x K weight matrix column-wise directly.
+        // X × Wᵀ without materializing the transpose: the GEMM reads the
+        // M x K weight rows in place and packs only the activations.
         gemm_bt_f32(x, weights)
     }
 
