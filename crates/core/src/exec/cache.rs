@@ -31,20 +31,27 @@ use crate::exec::workspace::Panel;
 /// diverge from (or never match) the cold path. `u8` codes compare
 /// directly.
 pub(crate) trait CacheElem: Copy + Default {
-    /// `true` when `a` and `b` have identical bit patterns.
-    fn bits_eq(a: Self, b: Self) -> bool;
+    /// `true` when the equal-length slices `a` and `b` have identical
+    /// bit patterns element for element.
+    fn bits_eq(a: &[Self], b: &[Self]) -> bool;
 }
 
 impl CacheElem for f32 {
+    /// Branch-free over the row (no early exit per element), so the
+    /// compare vectorizes; the probe still stops at the first differing
+    /// row.
     #[inline]
-    fn bits_eq(a: Self, b: Self) -> bool {
-        a.to_bits() == b.to_bits()
+    fn bits_eq(a: &[Self], b: &[Self]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .fold(true, |eq, (x, y)| eq & (x.to_bits() == y.to_bits()))
     }
 }
 
 impl CacheElem for u8 {
     #[inline]
-    fn bits_eq(a: Self, b: Self) -> bool {
+    fn bits_eq(a: &[Self], b: &[Self]) -> bool {
         a == b
     }
 }
@@ -116,6 +123,26 @@ impl<T: CacheElem, A: Copy + Default> ReuseCache<T, A> {
         self.valid.iter_mut().for_each(|v| *v = false);
     }
 
+    /// Data-only fast probe: `true` when `panel` holds a valid entry
+    /// whose unit data equals `data` bit for bit (same row layout as
+    /// [`ReuseCache::probe`]). The entry's signatures and radius are pure
+    /// functions of that data under the layer's fixed hash families, so
+    /// such a tile is a [`Probe::Hit`] *before* it is hashed: callers
+    /// check this first and hash only the tiles it rejects.
+    pub(crate) fn hit(&self, panel: Panel, data: &[T], row_stride: usize, row_len: usize) -> bool {
+        self.valid.get(panel.index).copied().unwrap_or(false)
+            && self.data_matches(panel, data, row_stride, row_len)
+    }
+
+    fn data_matches(&self, panel: Panel, data: &[T], row_stride: usize, row_len: usize) -> bool {
+        let off = self.units * self.b * panel.start;
+        (0..self.units).all(|g| {
+            let row = &data[g * row_stride..g * row_stride + row_len];
+            let cached = &self.data[off + g * row_len..off + (g + 1) * row_len];
+            T::bits_eq(row, cached)
+        })
+    }
+
     /// Probes `panel` against the cache. The panel's unit `g` is
     /// `data[g * row_stride ..][..row_len]` with `row_len == b * lw`; a
     /// [`Probe::Hit`] certifies those rows bit-identical to the cached
@@ -138,13 +165,7 @@ impl<T: CacheElem, A: Copy + Default> ReuseCache<T, A> {
         if self.taus[p].to_bits() != tau.to_bits() || !signatures_match(sigs, cached_sigs) {
             return Probe::ChangedSigs;
         }
-        let off = self.units * self.b * panel.start;
-        let same = (0..self.units).all(|g| {
-            let row = &data[g * row_stride..g * row_stride + row_len];
-            let cached = &self.data[off + g * row_len..off + (g + 1) * row_len];
-            row.iter().zip(cached).all(|(&a, &c)| T::bits_eq(a, c))
-        });
-        if !same {
+        if !self.data_matches(panel, data, row_stride, row_len) {
             self.valid[p] = false;
             return Probe::ChangedData;
         }
@@ -250,6 +271,43 @@ mod tests {
         );
         // A signature miss does not invalidate; the original frame still hits.
         assert_eq!(c.probe(p, &sigs(&[7, 7]), 0.5, &data, 4, 4), Probe::Hit);
+    }
+
+    #[test]
+    fn hit_checks_validity_and_data_only() {
+        let mut c: ReuseCache<f32, f32> = ReuseCache::default();
+        c.reserve(2, 2, 1, 8, 1);
+        let p = panel(0, 0, 4);
+        let data = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
+        let s = sigs(&[7, 9]);
+        assert!(!c.hit(p, &data, 4, 4), "no entry stored yet");
+        c.store(p, &s, 0.5, &data, 4, 4, &[0, 1], &[1, 1], &[3.0, 4.0]);
+        assert!(c.hit(p, &data, 4, 4));
+        assert!(
+            !c.hit(panel(1, 4, 8), &data, 4, 4),
+            "other panel stays cold"
+        );
+        let mut changed = data;
+        changed[6] = -7.0;
+        assert!(!c.hit(p, &changed, 4, 4));
+        let mut signed_zero = data;
+        signed_zero[0] = 0.0;
+        c.store(
+            p,
+            &s,
+            0.5,
+            &signed_zero,
+            4,
+            4,
+            &[0, 1],
+            &[1, 1],
+            &[3.0, 4.0],
+        );
+        signed_zero[0] = -0.0;
+        assert!(!c.hit(p, &signed_zero, 4, 4), "-0.0 must not match 0.0");
+        // A rejected hit followed by the full probe classifies as before.
+        assert_eq!(c.probe(p, &s, 0.5, &signed_zero, 4, 4), Probe::ChangedData);
+        assert!(!c.hit(p, &data, 4, 4), "invalidated entry never hits");
     }
 
     #[test]

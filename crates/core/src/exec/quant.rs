@@ -509,42 +509,9 @@ impl QuantWorkspace {
                 // copy at all — clustering reads the dequantized
                 // staging and the centroid fold reads `x_q` directly.
                 let fused_direct = fused_ready && b == 1;
-                if fused_ready {
-                    // Fused sweep: dequantize the panel's codes in one
-                    // vectorized pass, then hash + norm-scan the result
-                    // in one batched sweep while it is still cache-hot.
-                    let _fused = greuse_telemetry::span!("exec.fused_pack_hash");
-                    fused.begin_panel(&families[panel.index]);
-                    let deq = &mut deq_buf[..full_blocks * dim];
-                    if fused_direct {
-                        for (g, d) in deq.chunks_exact_mut(dim).enumerate() {
-                            let row = g * k;
-                            greuse_tensor::dequantize_u8_slice(
-                                &x_q[row + col0..row + col1],
-                                params.scale,
-                                params.zero_point,
-                                d,
-                            );
-                        }
-                    } else {
-                        let units = &mut units_q[..full_blocks * dim];
-                        for g in 0..full_blocks {
-                            let u = &mut units[g * dim..(g + 1) * dim];
-                            for br in 0..b {
-                                let row = (g * b + br) * k;
-                                u[br * lw..(br + 1) * lw]
-                                    .copy_from_slice(&x_q[row + col0..row + col1]);
-                            }
-                        }
-                        greuse_tensor::dequantize_u8_slice(
-                            units,
-                            params.scale,
-                            params.zero_point,
-                            deq,
-                        );
-                    }
-                    fused.feed_rows(deq, full_blocks);
-                } else {
+                // Gather the block codes unless the fused path reads them
+                // in place.
+                if !fused_direct {
                     let _gather = greuse_telemetry::span!("exec.gather");
                     let units = &mut units_q[..full_blocks * dim];
                     for g in 0..full_blocks {
@@ -577,6 +544,51 @@ impl QuantWorkspace {
                     &owned
                 };
 
+                // The probe's view of the unit rows: strided in `x_q` on
+                // the direct path, gathered into `units_q` otherwise.
+                let (pdata, stride, rlen): (&[u8], usize, usize) = if fused_direct {
+                    (&x_q[col0..], k, lw)
+                } else {
+                    (units, dim, dim)
+                };
+
+                // Temporal-reuse fast path: a tile whose codes equal the
+                // cached ones bit for bit (under unchanged quantization
+                // params — a params change clears the cache) has the
+                // cached signatures and radius as well, so it replays
+                // without being dequantized or hashed.
+                let tile_hit = fused_ready
+                    && cache
+                        .as_ref()
+                        .is_some_and(|c| c.hit(panel, pdata, stride, rlen));
+                if fused_ready && !tile_hit {
+                    // Fused sweep: dequantize the panel's codes in one
+                    // vectorized pass, then hash + norm-scan the result
+                    // in one batched sweep while it is still cache-hot.
+                    let _fused = greuse_telemetry::span!("exec.fused_pack_hash");
+                    fused.begin_panel(family);
+                    let deq = &mut deq_buf[..full_blocks * dim];
+                    if fused_direct {
+                        for (g, d) in deq.chunks_exact_mut(dim).enumerate() {
+                            let row = g * k;
+                            greuse_tensor::dequantize_u8_slice(
+                                &x_q[row + col0..row + col1],
+                                params.scale,
+                                params.zero_point,
+                                d,
+                            );
+                        }
+                    } else {
+                        greuse_tensor::dequantize_u8_slice(
+                            units,
+                            params.scale,
+                            params.zero_point,
+                            deq,
+                        );
+                    }
+                    fused.feed_rows(deq, full_blocks);
+                }
+
                 // Per-panel latency, split by cache outcome (clock reads
                 // only with an active cache and capture on).
                 let panel_t0 =
@@ -584,19 +596,17 @@ impl QuantWorkspace {
 
                 // Temporal-reuse probe over the quantized codes (this
                 // path has no payload-corrupting fault points, so fused
-                // signatures are the only gate). On the direct path the
-                // unit rows live strided in `x_q`; otherwise they were
-                // gathered into `units_q`.
+                // signatures are the only gate); a rejected tile is
+                // classified from its fresh signatures.
                 let mut warm = false;
                 if let Some(c) = cache.as_mut() {
                     if fused_ready {
-                        let (pdata, stride): (&[u8], usize) = if fused_direct {
-                            (&x_q[col0..], k)
+                        let probe = if tile_hit {
+                            Probe::Hit
                         } else {
-                            (units, dim)
+                            c.probe(panel, fused.signatures(), fused.tau(), pdata, stride, rlen)
                         };
-                        let rlen = if fused_direct { lw } else { dim };
-                        match c.probe(panel, fused.signatures(), fused.tau(), pdata, stride, rlen) {
+                        match probe {
                             Probe::Hit => {
                                 let _warm = greuse_telemetry::span!("exec.warm_cluster");
                                 scratch.restore(c.assignments(panel.index), c.sizes(panel.index));

@@ -8,13 +8,24 @@
 //! With `--features fault-inject`, the suite additionally pins the
 //! never-commit-under-fault rule: a degenerate-clustering fault active
 //! during a call must keep that call's clustering out of the cache, so
-//! no later frame can replay poisoned state.
+//! no later frame can replay poisoned state. The fault plan is
+//! process-global, so every test serializes on [`SUITE_LOCK`]: a
+//! property case running beside the faulted test would otherwise see
+//! its fault fire in one of its two A/B runs and diverge.
+
+use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 
 use greuse::{ExecWorkspace, QuantWorkspace, RandomHashProvider, ReusePattern};
 use greuse_data::FrameStream;
 use greuse_tensor::Tensor;
+
+static SUITE_LOCK: Mutex<()> = Mutex::new(());
+
+fn lock() -> MutexGuard<'static, ()> {
+    SUITE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// Materializes `count` frames of a tile-perturbed prototype stream.
 fn frames(
@@ -121,6 +132,7 @@ proptest! {
         b in 1usize..=2,
         distinct in 1usize..=8,
     ) {
+        let _l = lock();
         let (n, k) = (32usize, tiles * l);
         let pattern = ReusePattern::conventional(l, h).with_block_rows(b);
         let xs = frames(n, k, distinct, l, rate, seed, 6);
@@ -153,6 +165,7 @@ proptest! {
         tiles in 2usize..=4,
         distinct in 1usize..=8,
     ) {
+        let _l = lock();
         let (n, l, h) = (32usize, 8usize, 4usize);
         let k = tiles * l;
         let pattern = ReusePattern::conventional(l, h);
@@ -176,6 +189,7 @@ proptest! {
         seed in any::<u64>(),
         tiles in 2usize..=4,
     ) {
+        let _l = lock();
         let (n, l, h) = (32usize, 8usize, 4usize);
         let k = tiles * l;
         let pattern = ReusePattern::conventional(l, h);
@@ -201,6 +215,7 @@ proptest! {
 fn faulted_clusterings_are_never_committed() {
     use greuse::faults::{self, FaultAction, FaultPlan, FaultPoint};
 
+    let _l = lock();
     let (n, l, h, tiles) = (32usize, 8usize, 4usize, 3usize);
     let k = tiles * l;
     let pattern = ReusePattern::conventional(l, h);

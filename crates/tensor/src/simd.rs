@@ -139,6 +139,33 @@ pub fn scatter_accumulate_u8_i32(
     }
 }
 
+/// Batched cluster-result recovery over `f32` outputs: for each of the
+/// `assign.len()` blocks, `y[(i*b + br) * m ..][j] += yc[(assign[i]*b +
+/// br) * m ..][j]` — one dispatch per panel instead of one per row.
+/// Bit-identical to the per-row [`add_assign_f32`] loop (the same single
+/// add per element).
+///
+/// # Panics
+///
+/// Panics when `y` or `yc` does not cover the accessed ranges.
+pub fn recover_rows_f32(y: &mut [f32], yc: &[f32], assign: &[usize], b: usize, m: usize) {
+    assert!(assign.len() * b * m <= y.len(), "output too short");
+    #[cfg(target_arch = "x86_64")]
+    if m >= 8 && std::arch::is_x86_feature_detected!("avx2") {
+        // Safety: AVX2 detected and the output range asserted above; the
+        // kernel asserts each cluster index against `yc`.
+        unsafe { recover_rows_f32_avx2(y, yc, assign, b, m) };
+        return;
+    }
+    for (g, &c) in assign.iter().enumerate() {
+        let dst = &mut y[g * b * m..(g + 1) * b * m];
+        let src = &yc[c * b * m..(c + 1) * b * m];
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d += s;
+        }
+    }
+}
+
 /// Batched cluster-result recovery: for each of the `assign.len()`
 /// blocks, `acc[(i*b + br) * m ..][j] += yc[(assign[i]*b + br) * m ..][j]`
 /// — every member block receives its centroid's accumulator rows in one
@@ -146,9 +173,9 @@ pub fn scatter_accumulate_u8_i32(
 ///
 /// # Panics
 ///
-/// Debug-asserts the buffers cover the accessed ranges.
+/// Panics when `acc` or `yc` does not cover the accessed ranges.
 pub fn recover_rows_i32(acc: &mut [i32], yc: &[i32], assign: &[usize], b: usize, m: usize) {
-    debug_assert!(assign.len() * b * m <= acc.len());
+    assert!(assign.len() * b * m <= acc.len(), "output too short");
     #[cfg(target_arch = "x86_64")]
     if m >= 8 && std::arch::is_x86_feature_detected!("avx2") {
         // Safety: AVX2 detected; the kernel only reads/writes in bounds.
@@ -318,6 +345,36 @@ unsafe fn scatter_accumulate_u8_i32_avx2(
     }
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2, and `assign.len() * b * m <= y.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn recover_rows_f32_avx2(y: &mut [f32], yc: &[f32], assign: &[usize], b: usize, m: usize) {
+    use std::arch::x86_64::*;
+    let bm = b * m;
+    let yp = y.as_mut_ptr();
+    let cp = yc.as_ptr();
+    for (g, &c) in assign.iter().enumerate() {
+        // The output range was checked once by the caller; a block index
+        // past the centroid rows would read out of bounds.
+        assert!((c + 1) * bm <= yc.len(), "cluster index out of range");
+        let dp = yp.add(g * bm);
+        let sp = cp.add(c * bm);
+        let mut j = 0;
+        while j + 8 <= bm {
+            let d = _mm256_loadu_ps(dp.add(j));
+            let s = _mm256_loadu_ps(sp.add(j));
+            _mm256_storeu_ps(dp.add(j), _mm256_add_ps(d, s));
+            j += 8;
+        }
+        while j < bm {
+            *dp.add(j) += *sp.add(j);
+            j += 1;
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn recover_rows_i32_avx2(acc: &mut [i32], yc: &[i32], assign: &[usize], b: usize, m: usize) {
@@ -326,8 +383,9 @@ unsafe fn recover_rows_i32_avx2(acc: &mut [i32], yc: &[i32], assign: &[usize], b
     let ap = acc.as_mut_ptr();
     let yp = yc.as_ptr();
     for (g, &c) in assign.iter().enumerate() {
-        debug_assert!((g + 1) * bm <= acc.len());
-        debug_assert!((c + 1) * bm <= yc.len());
+        // The output range was checked once by the caller; a block index
+        // past the centroid rows would read out of bounds.
+        assert!((c + 1) * bm <= yc.len(), "cluster index out of range");
         let dp = ap.add(g * bm);
         let sp = yp.add(c * bm);
         let mut j = 0;
@@ -695,6 +753,21 @@ mod tests {
             }
         }
         assert_eq!(acc, acc_want);
+
+        let ycf: Vec<f32> = (0..5 * b * m).map(|i| i as f32 * 0.37 - 4.0).collect();
+        let mut yf: Vec<f32> = (0..blocks * b * m).map(|i| (i as f32).sin()).collect();
+        let mut yf_want = yf.clone();
+        recover_rows_f32(&mut yf, &ycf, &assign[..blocks], b, m);
+        for (g, &c) in assign[..blocks].iter().enumerate() {
+            for br in 0..b {
+                add_assign_f32(
+                    &mut yf_want[(g * b + br) * m..(g * b + br + 1) * m],
+                    &ycf[(c * b + br) * m..(c * b + br + 1) * m],
+                );
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&yf), bits(&yf_want));
     }
 
     #[test]
