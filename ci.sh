@@ -35,6 +35,13 @@ cargo test -q -p greuse --test golden_conformance
 echo "==> dense-path conformance suite"
 cargo test -q -p greuse-nn --test dense_conformance
 
+# Lowering oracle: every conv geometry of the five zoo models through
+# Conv2d::forward (structured im2col, dense GEMM, blocked bias epilogue)
+# must equal the direct nested-loop convolution plus bias. Unlike the
+# dense-path suite above, the two sides share no lowering code.
+echo "==> conv lowering oracle"
+cargo test -q -p greuse-nn --test lowering_oracle
+
 # Whole-network steady state: every layer of a CifarNet (f32) and a
 # SqueezeNet (int8) forward keeps its executor state resident, so after
 # warm-up no conv GEMM allocates and no patterned layer runs staged. A

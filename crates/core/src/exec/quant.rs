@@ -648,8 +648,8 @@ impl QuantWorkspace {
                 stats.n_clusters += n_c as u64;
                 if !warm {
                     stats.ops.clustering_vectors += full_blocks as u64;
+                    stats.ops.clustering_macs += family.hashing_macs(full_blocks);
                 }
-                stats.ops.clustering_macs += family.hashing_macs(full_blocks);
 
                 if warm {
                     // Replay the cached pre-zero-point accumulators; the

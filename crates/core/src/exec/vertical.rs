@@ -204,14 +204,12 @@ pub(crate) fn vertical_into(
             let n_c = scratch.num_clusters();
             stats.n_vectors += full_blocks as u64;
             stats.n_clusters += n_c as u64;
-            // Hashing stays charged on warm hits, which replay unhashed:
-            // the streamed latency model prices a hit with its hash, so
-            // the modeled warm cost is an upper bound. The leader walk is
-            // not charged on a warm hit.
+            // A warm hit replays its panel unhashed and skips the leader
+            // walk, so neither is charged.
             if !warm {
                 stats.ops.clustering_vectors += full_blocks as u64;
+                stats.ops.clustering_macs += family.hashing_macs(full_blocks);
             }
-            stats.ops.clustering_macs += family.hashing_macs(full_blocks);
 
             if warm {
                 // Replay the cached centroid-GEMM output: fold and GEMM

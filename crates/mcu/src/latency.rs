@@ -83,17 +83,18 @@ impl PhaseOps {
     /// temporal reuse cache hitting on a `warm_frac` fraction of panels
     /// (`0.0..=1.0`), on top of the fused discount.
     ///
-    /// A warm panel replays its cached clustering and centroid-GEMM
-    /// output: the hashing projection still runs (it produces the
-    /// signatures the cache is probed with), but the leader walk, the
-    /// centroid fold, and the centroid GEMM are skipped. Amortized over a
-    /// stream, clustering MACs, clustering vectors, and GEMM MACs all
-    /// shrink to their cold fraction `1 − warm_frac`; transformation and
-    /// recovery run on every frame regardless.
+    /// A warm panel is recognized by comparing its bytes with the cached
+    /// copy and replays its cached clustering and centroid-GEMM output:
+    /// the hashing projection, the leader walk, the centroid fold, and
+    /// the centroid GEMM are all skipped. Amortized over a stream,
+    /// clustering MACs, clustering vectors, and GEMM MACs all shrink to
+    /// their cold fraction `1 − warm_frac`; transformation and recovery
+    /// run on every frame regardless.
     pub fn streamed(&self, warm_frac: f64) -> PhaseOps {
         let cold = (1.0 - warm_frac).clamp(0.0, 1.0);
         let fused = self.fused();
         PhaseOps {
+            clustering_macs: (fused.clustering_macs as f64 * cold).ceil() as u64,
             clustering_vectors: (fused.clustering_vectors as f64 * cold).ceil() as u64,
             gemm_macs: (fused.gemm_macs as f64 * cold).ceil() as u64,
             ..fused
@@ -372,13 +373,17 @@ mod tests {
         // warm_frac = 0 reduces exactly to the fused counts.
         assert_eq!(ops.streamed(0.0), ops.fused());
         let s = ops.streamed(0.75);
-        assert_eq!(s.clustering_macs, ops.fused().clustering_macs);
+        assert_eq!(
+            s.clustering_macs,
+            (ops.fused().clustering_macs as f64 * 0.25).ceil() as u64
+        );
         assert_eq!(s.clustering_vectors, 250);
         assert_eq!(s.gemm_macs, 500_000);
         assert_eq!(s.transform_elems, ops.transform_elems);
         assert_eq!(s.recover_elems, ops.recover_elems);
         // Fully warm: only the always-on phases remain.
         let w = ops.streamed(1.0);
+        assert_eq!(w.clustering_macs, 0);
         assert_eq!(w.clustering_vectors, 0);
         assert_eq!(w.gemm_macs, 0);
         // Out-of-range fractions clamp instead of wrapping.

@@ -8,6 +8,9 @@ use crate::backend::ConvBackend;
 use crate::init::he_normal;
 use crate::{NnError, Result};
 
+/// Output positions per block of [`Conv2d`]'s bias epilogue.
+const EPILOGUE_BLOCK: usize = 32;
+
 /// A convolution layer: weights `(M, C*kh*kw)` and a per-filter bias.
 ///
 /// Inference lowers to `im2col` followed by a [`ConvBackend`]-provided
@@ -135,15 +138,32 @@ impl Conv2d {
     }
 
     /// Reshapes the `N x M` GEMM output to `(M, oh, ow)` and adds bias.
+    ///
+    /// Runs over blocks of [`EPILOGUE_BLOCK`] positions: each block's
+    /// rows of `y` stay in L1 while every channel writes one contiguous
+    /// run of the output. A block of fewer than 8 positions (a tail, or a
+    /// map as small as ResNet's 2×2 `conv5_x`) is too short to pay for
+    /// that per-channel run and goes row by row instead.
     fn finish_output(&self, y: &Tensor<f32>, oh: usize, ow: usize) -> Tensor<f32> {
         let m = self.spec.out_channels;
         let n = oh * ow;
         let mut out = Tensor::zeros(&[m, oh, ow]);
         let out_s = out.as_mut_slice();
-        let y_s = y.as_slice();
-        for pos in 0..n {
-            for ch in 0..m {
-                out_s[ch * n + pos] = y_s[pos * m + ch] + self.bias[ch];
+        for (block, rows) in y.as_slice().chunks(EPILOGUE_BLOCK * m.max(1)).enumerate() {
+            let p0 = block * EPILOGUE_BLOCK;
+            if rows.len() < 8 * m {
+                for (j, row) in rows.chunks_exact(m).enumerate() {
+                    for (ch, (&v, &b)) in row.iter().zip(&self.bias).enumerate() {
+                        out_s[ch * n + p0 + j] = v + b;
+                    }
+                }
+                continue;
+            }
+            for (ch, &b) in self.bias.iter().enumerate() {
+                let dst = &mut out_s[ch * n + p0..];
+                for (d, row) in dst.iter_mut().zip(rows.chunks_exact(m)) {
+                    *d = row[ch] + b;
+                }
             }
         }
         out
