@@ -28,6 +28,12 @@ cargo test -q -p greuse-telemetry --no-default-features
 echo "==> golden-vector conformance suite"
 cargo test -q -p greuse --test golden_conformance
 
+# A fresh workspace's first call (staged pipeline) must equal, bit for
+# bit and in ReuseStats, the same workspace's second call (fused) and a
+# second fresh workspace, on the f32 and int8 executors.
+echo "==> fused/staged equivalence suite"
+cargo test -q -p greuse --test fused_equivalence
+
 # Whole-network dense conformance: ResNet-18 (paper scale) and CifarNet
 # logits through DenseBackend's packed X·Wᵀ GEMM (weights read in place,
 # only activations packed) must equal, bit for bit, a backend running the

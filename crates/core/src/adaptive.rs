@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use greuse_nn::{ConvBackend, DenseBackend};
 use greuse_tensor::{ConvSpec, Tensor, TensorError};
 
-use crate::exec::execute_reuse_with_spec;
+use crate::exec::ExecWorkspace;
 use crate::hash_provider::HashProvider;
 use crate::pattern::ReusePattern;
 
@@ -142,7 +142,8 @@ impl<P: HashProvider> ConvBackend for AdaptiveBackend<P> {
             PolicyChoice::Aggressive => policy.aggressive,
             PolicyChoice::Conservative => policy.conservative,
         };
-        execute_reuse_with_spec(x, weights, spec, &pattern, &self.hashes, layer)
+        ExecWorkspace::new()
+            .execute(x, weights, Some(spec), &pattern, &self.hashes, layer)
             .map(|out| out.y)
             .map_err(|e| match e {
                 crate::GreuseError::Tensor(t) => t,

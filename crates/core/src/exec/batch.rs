@@ -22,7 +22,7 @@ use std::cell::RefCell;
 
 use greuse_tensor::{Permutation, Tensor, WorkerPool};
 
-use crate::exec::{execute_reuse_named, ExecWorkspace, QuantWorkspace, ReuseOutput, ReuseStats};
+use crate::exec::{ExecWorkspace, QuantWorkspace, ReuseOutput, ReuseStats};
 use crate::hash_provider::HashProvider;
 use crate::pattern::ReusePattern;
 use crate::{GreuseError, Result};
@@ -73,21 +73,7 @@ pub fn execute_reuse_batch(
     hashes: &dyn HashProvider,
     stacking: BatchStacking,
 ) -> Result<(Vec<Tensor<f32>>, ReuseOutput)> {
-    let first = xs.first().ok_or_else(|| GreuseError::InvalidPattern {
-        detail: "empty batch".into(),
-    })?;
-    let (n, k) = (first.rows(), first.cols());
-    for x in xs {
-        if x.shape().dims() != [n, k] {
-            return Err(GreuseError::InvalidPattern {
-                detail: format!(
-                    "batch matrices must share one shape; got {:?} and {:?}",
-                    first.shape().dims(),
-                    x.shape().dims()
-                ),
-            });
-        }
-    }
+    let (n, k) = check_uniform(xs)?;
     // Stack sequentially, then apply the batch ordering.
     let images = xs.len();
     let mut stacked = Tensor::zeros(&[images * n, k]);
@@ -99,7 +85,7 @@ pub fn execute_reuse_batch(
     let perm = stacking.permutation(images, n);
     let ordered = perm.apply_rows(&stacked).map_err(GreuseError::from)?;
 
-    let out = execute_reuse_named(&ordered, w, pattern, hashes, "batch")?;
+    let out = ExecWorkspace::new().execute(&ordered, w, None, pattern, hashes, "batch")?;
 
     // Un-stack: invert the ordering, then split per image.
     let y = perm
@@ -696,8 +682,9 @@ mod tests {
         let mut n_vectors = 0;
         let mut n_clusters = 0;
         for (x, y) in xs.iter().zip(&ys) {
-            let single =
-                crate::exec::execute_reuse_named(x, &w, &pattern, &hashes, "batch").unwrap();
+            let single = ExecWorkspace::new()
+                .execute(x, &w, None, &pattern, &hashes, "batch")
+                .unwrap();
             assert_eq!(&single.y, y, "per-image output must match single-image run");
             n_vectors += single.stats.n_vectors;
             n_clusters += single.stats.n_clusters;

@@ -23,6 +23,7 @@
 use greuse_lsh::{signatures_match, Signature};
 
 use crate::exec::workspace::Panel;
+use crate::pattern::{ReuseDirection, ReusePattern};
 
 /// Element types the cache can compare bit-exactly.
 ///
@@ -99,6 +100,26 @@ pub(crate) struct ReuseCache<T, A> {
 }
 
 impl<T: CacheElem, A: Copy + Default> ReuseCache<T, A> {
+    /// A cache for an `n x k` activation matrix against `m` outputs,
+    /// sized for `pattern`'s vertical walk (empty for any other pattern:
+    /// only the vertical walk probes the cache).
+    pub(crate) fn for_pattern(
+        pattern: Option<&ReusePattern>,
+        n: usize,
+        k: usize,
+        m: usize,
+    ) -> Self {
+        let mut cache = ReuseCache::default();
+        if let Some(p) = pattern.filter(|p| p.direction == ReuseDirection::Vertical) {
+            let l = p.l.min(k);
+            let b = p.block_rows.min(n);
+            // Panel widths sum to k, so one `full_blocks * b * k` arena
+            // holds every panel's unit data.
+            cache.reserve(k.div_ceil(l), n / b, b, k, m);
+        }
+        cache
+    }
+
     /// Sizes every arena for `panels` panels of `units` blocks (`b` rows
     /// each) over a `k`-wide im2col matrix and `m` output channels, and
     /// invalidates all entries. Grow-only in practice (workspaces call it

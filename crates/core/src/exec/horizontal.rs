@@ -14,7 +14,7 @@
 use greuse_lsh::{ClusterScratch, FusedPanelSource, HashFamily};
 use greuse_tensor::gemm_f32_into_with;
 
-use crate::exec::workspace::{panel_family, PanelBuffers, PanelIter, PipelineMode};
+use crate::exec::workspace::{panel_family, PanelBuffers, PanelIter};
 use crate::exec::ReuseStats;
 use crate::hash_provider::HashProvider;
 use crate::pattern::ReusePattern;
@@ -30,11 +30,10 @@ pub(crate) fn horizontal_into(
     pattern: &ReusePattern,
     hashes: &dyn HashProvider,
     layer: &str,
-    buf: &mut PanelBuffers,
+    buf: &mut PanelBuffers<f32>,
     scratch: &mut ClusterScratch,
     families: &mut Vec<HashFamily>,
     fsrc: &mut FusedPanelSource,
-    mode: PipelineMode,
     y: &mut [f32],
     stats: &mut ReuseStats,
 ) -> Result<()> {
@@ -44,13 +43,11 @@ pub(crate) fn horizontal_into(
         let (row0, lh) = (panel.start, panel.len());
 
         // Column vectors of the panel: k vectors of length lh, gathered as
-        // rows of the unit matrix (the transposed panel). With the fused
-        // pipeline and a cached family, each column is hashed and
-        // norm-scanned as it is transposed out of the activation matrix.
+        // rows of the unit matrix (the transposed panel). With a cached
+        // family, each column is hashed and norm-scanned as it is
+        // transposed out of the activation matrix.
         let units = &mut buf.units[..k * lh];
-        let fused_ready = mode == PipelineMode::Fused
-            && hashes.data_independent()
-            && families.len() > panel.index;
+        let fused_ready = hashes.data_independent() && families.len() > panel.index;
         if fused_ready {
             let _fused = greuse_telemetry::span!("exec.fused_pack_hash");
             fsrc.begin_panel(&families[panel.index]);
@@ -81,6 +78,7 @@ pub(crate) fn horizontal_into(
             units,
             k,
             lh,
+            &(),
         )?;
         #[cfg(feature = "fault-inject")]
         let injected = {

@@ -8,11 +8,12 @@
 //! MCU latency model).
 //!
 //! All entry points drive one engine: the panel executor in
-//! [`workspace`], which walks the im2col matrix with a [`PanelIter`] and
-//! keeps every intermediate in an [`ExecWorkspace`] arena. The free
-//! functions below construct a throwaway workspace per call; callers with
+//! [`workspace`], which walks the im2col matrix panel by panel and keeps
+//! every intermediate in an [`ExecWorkspace`] arena. [`execute_reuse`]
+//! constructs a throwaway workspace per call; callers that need a layer
+//! name or a conv spec call [`ExecWorkspace::execute`], and callers with
 //! a steady shape (backends, batch loops) hold a workspace and call
-//! [`ExecWorkspace::execute_into`] directly for allocation-free repeats.
+//! [`ExecWorkspace::execute_into`] for allocation-free repeats.
 
 // The executor sits on data-dependent paths: a stray `.unwrap()` here
 // turns a malformed input into a panic instead of a typed error, which is
@@ -31,7 +32,7 @@ pub use batch::{
     BatchStacking,
 };
 pub use quant::QuantWorkspace;
-pub use workspace::{ExecWorkspace, Panel, PanelIter, PipelineMode};
+pub use workspace::ExecWorkspace;
 
 use serde::{Deserialize, Serialize};
 
@@ -58,7 +59,7 @@ pub struct ReuseStats {
     /// and centroid-GEMM output (zero when the cache is disabled).
     pub cache_hits: u64,
     /// Temporal-cache panel misses: the cache was enabled but the panel
-    /// ran the cold path (first frame, changed signatures, staged mode,
+    /// ran the cold path (first frame, changed signatures, a staged call,
     /// or a fault kept the probe from running).
     pub cache_misses: u64,
     /// Temporal-cache invalidations: signatures matched a cached frame
@@ -128,63 +129,7 @@ pub fn execute_reuse(
     pattern: &ReusePattern,
     hashes: &dyn HashProvider,
 ) -> Result<ReuseOutput> {
-    execute_reuse_named(x, w, pattern, hashes, "layer")
-}
-
-/// Like [`execute_reuse`] but tagged with a layer name so hash providers
-/// can key their cached families per layer.
-///
-/// # Errors
-///
-/// Same conditions as [`execute_reuse`].
-pub fn execute_reuse_named(
-    x: &Tensor<f32>,
-    w: &Tensor<f32>,
-    pattern: &ReusePattern,
-    hashes: &dyn HashProvider,
-    layer: &str,
-) -> Result<ReuseOutput> {
-    let mut ws = ExecWorkspace::new();
-    execute_reuse_in(&mut ws, x, w, None, pattern, hashes, layer)
-}
-
-/// Variant of [`execute_reuse_named`] that applies the **spec-aware**
-/// column permutation (channel-first etc. need the conv geometry).
-///
-/// # Errors
-///
-/// Same conditions as [`execute_reuse`].
-pub fn execute_reuse_with_spec(
-    x: &Tensor<f32>,
-    w: &Tensor<f32>,
-    spec: &greuse_tensor::ConvSpec,
-    pattern: &ReusePattern,
-    hashes: &dyn HashProvider,
-    layer: &str,
-) -> Result<ReuseOutput> {
-    let mut ws = ExecWorkspace::new();
-    execute_reuse_in(&mut ws, x, w, Some(spec), pattern, hashes, layer)
-}
-
-/// Executes one reuse GEMM through a caller-held [`ExecWorkspace`],
-/// allocating only the output tensor. `spec` selects spec-aware column
-/// permutations when present (the [`execute_reuse_with_spec`] behaviour).
-///
-/// # Errors
-///
-/// Same conditions as [`execute_reuse`].
-pub fn execute_reuse_in(
-    ws: &mut ExecWorkspace,
-    x: &Tensor<f32>,
-    w: &Tensor<f32>,
-    spec: Option<&greuse_tensor::ConvSpec>,
-    pattern: &ReusePattern,
-    hashes: &dyn HashProvider,
-    layer: &str,
-) -> Result<ReuseOutput> {
-    let mut y = Tensor::zeros(&[x.rows(), w.rows()]);
-    let stats = ws.execute_into(x, w, spec, pattern, hashes, layer, y.as_mut_slice())?;
-    Ok(ReuseOutput { y, stats })
+    ExecWorkspace::new().execute(x, w, None, pattern, hashes, "layer")
 }
 
 #[cfg(test)]
@@ -429,9 +374,11 @@ mod tests {
             let layer = format!("layer{i}");
             // Run twice through the shared workspace: second call hits the
             // prepared steady state.
-            let first = execute_reuse_in(&mut ws, x, w, None, p, &hashes, &layer).unwrap();
-            let second = execute_reuse_in(&mut ws, x, w, None, p, &hashes, &layer).unwrap();
-            let fresh = execute_reuse_named(x, w, p, &hashes, &layer).unwrap();
+            let first = ws.execute(x, w, None, p, &hashes, &layer).unwrap();
+            let second = ws.execute(x, w, None, p, &hashes, &layer).unwrap();
+            let fresh = ExecWorkspace::new()
+                .execute(x, w, None, p, &hashes, &layer)
+                .unwrap();
             assert_eq!(first.y, fresh.y, "case {i} first call");
             assert_eq!(second.y, fresh.y, "case {i} steady-state call");
             assert_eq!(first.stats, fresh.stats, "case {i} stats");

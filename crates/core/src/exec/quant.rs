@@ -1,24 +1,16 @@
 //! The int8 panel executor: vertical reuse over quantized activations.
 //!
-//! Mirrors the f32 vertical executor (`vertical.rs`) in the quantized
-//! domain. Per call the activations are quantized to asymmetric `u8`
-//! (per-tensor scale + zero point, range observed from the data) and the
-//! weights to symmetric `i8` (cached per workspace key); the panel walk,
-//! LSH clustering, centroid folding, and recovery then run over `u8`
-//! neuron blocks:
-//!
-//! - **Clustering** dequantizes blocks on the fly
-//!   ([`ClusterScratch::cluster_q8`]) so hashing and threshold refinement
-//!   see exactly the values the f32 pipeline would see after
-//!   quantization noise.
-//! - **Centroid folding** happens in the integer domain: a centroid's
-//!   code is the rounded mean of its members' codes, which equals
-//!   quantizing the mean of the dequantized members (the affine map
-//!   commutes with averaging) up to one rounding step.
-//! - The **centroid GEMM** is the packed u8×i8 kernel with `i32`
-//!   accumulators ([`greuse_tensor::gemm_q8_into_with`]); member rows
-//!   receive their centroid's accumulator rows in the recovery step, and
-//!   ragged tails are computed exactly, as in the f32 path.
+//! Per call the activations are quantized to asymmetric `u8` (per-tensor
+//! scale + zero point, range observed from the data) and the weights to
+//! symmetric `i8` (cached per workspace key). The panel walk is the f32
+//! executor's own driver ([`super::vertical`]) run over `u8` neuron
+//! blocks; its `u8` hooks dequantize blocks for hashing and refinement
+//! (so clustering sees exactly the values the f32 pipeline would see
+//! after quantization noise), fold centroids as the integer rounded mean
+//! of the member codes, and run the centroid GEMM as the packed u8×i8
+//! kernel with `i32` accumulators ([`greuse_tensor::gemm_q8_into_with`]).
+//! A reuse entry stores its weight codes panel-major, so each panel's
+//! `M x lw` slice is contiguous for that kernel.
 //!
 //! The activation zero point is folded out once, after all panels: every
 //! output row receives exactly one contribution per panel (centroid or
@@ -35,13 +27,13 @@
 
 use greuse_lsh::{ClusterScratch, FusedPanelSource, HashFamily};
 use greuse_tensor::{
-    add_assign_i32, apply_zero_point, gemm_q8_into_with, quantize_linear_into, quantize_u8_into,
-    recover_rows_i32, requantize_i8_into, scatter_accumulate_u8_i32, weight_row_sums_into,
-    ActQuantParams, GemmScratch, LinearQuantParams, Requant, Tensor,
+    apply_zero_point, gemm_q8_into_with, quantize_linear_into, quantize_u8_into,
+    requantize_i8_into, weight_row_sums_into, ActQuantParams, LinearQuantParams, Requant, Tensor,
 };
 
-use crate::exec::cache::{Probe, ReuseCache};
-use crate::exec::workspace::{grow, select_entry, PanelIter, PipelineMode};
+use crate::exec::cache::ReuseCache;
+use crate::exec::vertical::vertical_into;
+use crate::exec::workspace::{grow, select_entry, PanelBuffers, PanelIter};
 use crate::exec::ReuseStats;
 use crate::hash_provider::HashProvider;
 use crate::pattern::{ReuseDirection, ReusePattern};
@@ -89,7 +81,9 @@ impl QKey {
 #[derive(Debug)]
 struct QLayer {
     key: QKey,
-    /// Quantized weights (`M x K` codes, symmetric).
+    /// Quantized weights (`M x K` codes, symmetric): row-major for the
+    /// dense-quantized GEMM, panel-major for a vertical pattern (each
+    /// panel's `M x lw` codes contiguous, rows at stride `lw`).
     w_q: Vec<i8>,
     w_scale: f32,
     /// Per-output-channel weight code sums over full `K`.
@@ -125,17 +119,13 @@ impl QLayer {
             let mut w_sums = vec![0i32; m];
             quantize_linear_into(w.as_slice(), &params, &mut w_q);
             weight_row_sums_into(&w_q, m, k, &mut w_sums);
+            let w_q = match pattern.filter(|p| p.direction == ReuseDirection::Vertical) {
+                Some(p) => panel_major(&w_q, m, k, p.l.min(k)),
+                None => w_q,
+            };
             (w_q, params.scale, w_sums)
         };
-        let cache = temporal_cache.then(|| {
-            let mut cache = ReuseCache::default();
-            if let Some(p) = pattern.filter(|p| p.direction == ReuseDirection::Vertical) {
-                let l = p.l.min(k);
-                let b = p.block_rows.min(n);
-                cache.reserve(k.div_ceil(l), n / b, b, k, m);
-            }
-            cache
-        });
+        let cache = temporal_cache.then(|| ReuseCache::for_pattern(pattern, n, k, m));
         Ok(QLayer {
             key: QKey {
                 layer: layer.to_string(),
@@ -153,6 +143,19 @@ impl QLayer {
             lat: crate::exec::workspace::layer_latency_hists(layer, "int8"),
         })
     }
+}
+
+/// Re-lays row-major `m x k` weight codes panel-major for panels of width
+/// `l`: panel `[c0, c1)` becomes the contiguous `m x (c1 - c0)` block at
+/// offset `m * c0`.
+fn panel_major(w_q: &[i8], m: usize, k: usize, l: usize) -> Vec<i8> {
+    let mut out = Vec::with_capacity(m * k);
+    for panel in PanelIter::new(k, l) {
+        for r in 0..m {
+            out.extend_from_slice(&w_q[r * k + panel.start..r * k + panel.end]);
+        }
+    }
+    out
 }
 
 /// Reusable int8-executor state, split like [`super::ExecWorkspace`]:
@@ -186,28 +189,11 @@ pub struct QuantWorkspace {
     acc: Vec<i32>,
     /// Requantized output codes (`N x M`).
     out_q: Vec<i8>,
-    /// Gathered reuse blocks (`full_blocks x (b·lw)` codes).
-    units_q: Vec<u8>,
-    /// Integer centroid sums (`n_c x dim` staging).
-    csums: Vec<i32>,
-    /// Folded centroid codes, stacked `(n_c·b) x lw`.
-    stacked_q: Vec<u8>,
-    /// Weight panel (`M x lw` codes, rows contiguous — qgemm's Bᵀ).
-    wp_q: Vec<i8>,
-    /// Centroid GEMM output (`n_c·b x M`).
-    yc: Vec<i32>,
-    /// Ragged-tail rows (`tail x lw` codes).
-    tail_q: Vec<u8>,
-    /// Tail GEMM output (`tail x M`).
-    yt: Vec<i32>,
-    gemm: GemmScratch,
+    /// Panel-walk scratch over `u8` codes (the dense path uses only its
+    /// GEMM pack buffers).
+    buf: PanelBuffers<u8>,
     scratch: ClusterScratch,
-    /// Dequantized unit staging for the fused sweep (`full_blocks x dim`):
-    /// the refinement walk measures distances on these floats, exactly as
-    /// [`ClusterScratch::cluster_q8`] would.
-    deq: Vec<f32>,
     fused: FusedPanelSource,
-    mode: PipelineMode,
     temporal_cache: bool,
 }
 
@@ -231,18 +217,6 @@ impl QuantWorkspace {
     /// Whether the temporal reuse cache is enabled.
     pub fn temporal_cache_enabled(&self) -> bool {
         self.temporal_cache
-    }
-
-    /// Selects the per-panel pipeline (see
-    /// [`crate::PipelineMode`]). The default is fused; switching
-    /// modes never changes results, only the number of memory sweeps.
-    pub fn set_pipeline(&mut self, mode: PipelineMode) {
-        self.mode = mode;
-    }
-
-    /// The currently selected per-panel pipeline.
-    pub fn pipeline(&self) -> PipelineMode {
-        self.mode
     }
 
     /// Prepares the workspace for one layer's quantized GEMM and selects
@@ -281,20 +255,7 @@ impl QuantWorkspace {
         grow(&mut self.acc, n * m);
         grow(&mut self.out_q, n * m);
         if let Some(p) = pattern.filter(|p| p.direction == ReuseDirection::Vertical) {
-            let l = p.l.min(k);
-            let b = p.block_rows.min(n);
-            let full_blocks = n / b;
-            let dim = b * l;
-            let tail = n - full_blocks * b;
-            grow(&mut self.units_q, full_blocks * dim);
-            grow(&mut self.csums, full_blocks * dim);
-            grow(&mut self.stacked_q, full_blocks * dim);
-            grow(&mut self.wp_q, m * l);
-            grow(&mut self.yc, full_blocks * b * m);
-            grow(&mut self.deq, full_blocks * dim);
-            grow(&mut self.tail_q, tail * l);
-            grow(&mut self.yt, tail * m);
-            self.fused.reserve(p.h, dim, full_blocks);
+            self.buf.reserve_vertical(&mut self.fused, n, k, m, p);
         }
 
         let temporal_cache = self.temporal_cache;
@@ -350,22 +311,32 @@ impl QuantWorkspace {
         // Clock reads only while capture is active; handles were resolved
         // in `prepare`, so the steady state stays alloc-free.
         let t0 = greuse_telemetry::enabled().then(std::time::Instant::now);
-        let active = self.active;
-        let fused_engaged =
-            self.mode == PipelineMode::Fused && !self.layers[active].families.is_empty();
+        let QuantWorkspace {
+            layers,
+            active,
+            x_q,
+            acc,
+            out_q,
+            buf,
+            scratch,
+            fused,
+            ..
+        } = self;
+        let state = &mut layers[*active];
+        let fused_engaged = !state.families.is_empty();
 
         // Per-call activation quantization (dynamic range).
+        let x_q = &mut x_q[..n * k];
         let params = {
             let _pack = greuse_telemetry::span!("quant.pack");
             let params = ActQuantParams::from_data(x.as_slice())?;
-            quantize_u8_into(x.as_slice(), &params, &mut self.x_q[..n * k]);
+            quantize_u8_into(x.as_slice(), &params, x_q);
             params
         };
 
         // Cached clusterings were computed on values dequantized under
         // the params of their frame; new params mean the same codes map
         // to different reals, so every entry is stale.
-        let state = &mut self.layers[active];
         if let Some(cache) = state.cache.as_mut() {
             let same = state.cache_params.is_some_and(|p| {
                 p.scale.to_bits() == params.scale.to_bits() && p.zero_point == params.zero_point
@@ -377,24 +348,37 @@ impl QuantWorkspace {
         }
 
         let mut stats = ReuseStats::default();
+        let acc = &mut acc[..n * m];
         match pattern.filter(|p| p.direction == ReuseDirection::Vertical) {
-            Some(p) => self.vertical_q8(n, k, m, p, &params, hashes, layer, &mut stats)?,
-            None => {
-                gemm_q8_into_with(
-                    &self.x_q[..n * k],
-                    &self.layers[active].w_q,
-                    &mut self.acc[..n * m],
+            Some(p) => {
+                // Accumulates raw panel products; the zero point is folded
+                // out once, below.
+                acc.fill(0);
+                vertical_into(
+                    x_q,
+                    &state.w_q,
                     n,
                     k,
                     m,
-                    &mut self.gemm,
-                );
+                    p,
+                    hashes,
+                    layer,
+                    &params,
+                    buf,
+                    scratch,
+                    &mut state.families,
+                    fused,
+                    state.cache.as_mut(),
+                    acc,
+                    &mut stats,
+                )?;
+            }
+            None => {
+                gemm_q8_into_with(x_q, &state.w_q, acc, n, k, m, &mut buf.gemm);
                 stats.ops.gemm_macs += (n * k * m) as u64;
             }
         }
 
-        let state = &self.layers[active];
-        let acc = &mut self.acc[..n * m];
         apply_zero_point(acc, n, m, params.zero_point, &state.w_sums);
 
         // Requantize: output scale covers the accumulator range.
@@ -416,7 +400,7 @@ impl QuantWorkspace {
             }
         } else {
             let rq = Requant::new((127.0 / max_abs as f64) as f32)?;
-            let out_q = &mut self.out_q[..n * m];
+            let out_q = &mut out_q[..n * m];
             requantize_i8_into(acc, &rq, out_q);
             let out_scale = real / rq.effective_multiplier();
             let _rq = greuse_telemetry::span!("quant.requant");
@@ -433,364 +417,6 @@ impl QuantWorkspace {
                 .record_ns(t0.elapsed().as_nanos() as u64);
         }
         Ok(stats.finish())
-    }
-
-    /// The vertical (M-1) reuse walk in the quantized domain.
-    #[allow(clippy::too_many_arguments)]
-    fn vertical_q8(
-        &mut self,
-        n: usize,
-        k: usize,
-        m: usize,
-        pattern: &ReusePattern,
-        params: &ActQuantParams,
-        hashes: &dyn HashProvider,
-        layer: &str,
-        stats: &mut ReuseStats,
-    ) -> Result<()> {
-        let QuantWorkspace {
-            layers,
-            active,
-            x_q,
-            acc,
-            units_q,
-            csums,
-            stacked_q,
-            wp_q,
-            yc: yc_buf,
-            tail_q,
-            yt: yt_buf,
-            gemm,
-            scratch,
-            deq: deq_buf,
-            fused,
-            mode,
-            ..
-        } = self;
-        let QLayer {
-            w_q,
-            families,
-            cache,
-            ..
-        } = &mut layers[*active];
-        let x_q = &x_q[..n * k];
-        let acc = &mut acc[..n * m];
-        let l = pattern.l.min(k);
-        let b = pattern.block_rows.min(n);
-        let full_blocks = n / b;
-        let tail_rows = n - full_blocks * b;
-        acc.fill(0);
-
-        // Resolved unconditionally so the one-time registry allocation
-        // lands during warm-up, not a measured steady-state window.
-        let hit_hist =
-            greuse_telemetry::hist!(r#"cache.panel_latency{backend="int8",result="hit"}"#);
-        let miss_hist =
-            greuse_telemetry::hist!(r#"cache.panel_latency{backend="int8",result="miss"}"#);
-
-        for panel in PanelIter::new(k, l) {
-            let (col0, col1, lw) = (panel.start, panel.end, panel.len());
-            // Weight panel: M x lw codes, rows contiguous (qgemm Bᵀ).
-            {
-                let _gather = greuse_telemetry::span!("exec.gather");
-                let wp = &mut wp_q[..m * lw];
-                for r in 0..m {
-                    wp[r * lw..(r + 1) * lw].copy_from_slice(&w_q[r * k + col0..r * k + col1]);
-                }
-            }
-
-            if full_blocks > 0 {
-                let dim = b * lw;
-                let fused_ready = *mode == PipelineMode::Fused
-                    && hashes.data_independent()
-                    && families.len() > panel.index;
-                // With a block height of 1 every unit is a contiguous
-                // row slice of `x_q`, so the fused path needs no gather
-                // copy at all — clustering reads the dequantized
-                // staging and the centroid fold reads `x_q` directly.
-                let fused_direct = fused_ready && b == 1;
-                // Gather the block codes unless the fused path reads them
-                // in place.
-                if !fused_direct {
-                    let _gather = greuse_telemetry::span!("exec.gather");
-                    let units = &mut units_q[..full_blocks * dim];
-                    for g in 0..full_blocks {
-                        let dst = &mut units[g * dim..(g + 1) * dim];
-                        for br in 0..b {
-                            let row = (g * b + br) * k;
-                            dst[br * lw..(br + 1) * lw]
-                                .copy_from_slice(&x_q[row + col0..row + col1]);
-                        }
-                    }
-                }
-
-                // Hash family: cached per panel for data-independent
-                // providers; data-dependent providers see the
-                // dequantized unit matrix each call.
-                let units = &units_q[..full_blocks * dim];
-                let owned;
-                let family: &HashFamily = if hashes.data_independent() {
-                    if families.len() <= panel.index {
-                        debug_assert_eq!(families.len(), panel.index);
-                        let data =
-                            Tensor::from_fn(&[full_blocks, dim], |i| params.dequantize(units[i]));
-                        families.push(hashes.family(layer, panel.index, pattern.h, &data)?);
-                    }
-                    &families[panel.index]
-                } else {
-                    let data =
-                        Tensor::from_fn(&[full_blocks, dim], |i| params.dequantize(units[i]));
-                    owned = hashes.family(layer, panel.index, pattern.h, &data)?;
-                    &owned
-                };
-
-                // The probe's view of the unit rows: strided in `x_q` on
-                // the direct path, gathered into `units_q` otherwise.
-                let (pdata, stride, rlen): (&[u8], usize, usize) = if fused_direct {
-                    (&x_q[col0..], k, lw)
-                } else {
-                    (units, dim, dim)
-                };
-
-                // Temporal-reuse fast path: a tile whose codes equal the
-                // cached ones bit for bit (under unchanged quantization
-                // params — a params change clears the cache) has the
-                // cached signatures and radius as well, so it replays
-                // without being dequantized or hashed.
-                let tile_hit = fused_ready
-                    && cache
-                        .as_ref()
-                        .is_some_and(|c| c.hit(panel, pdata, stride, rlen));
-                if fused_ready && !tile_hit {
-                    // Fused sweep: dequantize the panel's codes in one
-                    // vectorized pass, then hash + norm-scan the result
-                    // in one batched sweep while it is still cache-hot.
-                    let _fused = greuse_telemetry::span!("exec.fused_pack_hash");
-                    fused.begin_panel(family);
-                    let deq = &mut deq_buf[..full_blocks * dim];
-                    if fused_direct {
-                        for (g, d) in deq.chunks_exact_mut(dim).enumerate() {
-                            let row = g * k;
-                            greuse_tensor::dequantize_u8_slice(
-                                &x_q[row + col0..row + col1],
-                                params.scale,
-                                params.zero_point,
-                                d,
-                            );
-                        }
-                    } else {
-                        greuse_tensor::dequantize_u8_slice(
-                            units,
-                            params.scale,
-                            params.zero_point,
-                            deq,
-                        );
-                    }
-                    fused.feed_rows(deq, full_blocks);
-                }
-
-                // Per-panel latency, split by cache outcome (clock reads
-                // only with an active cache and capture on).
-                let panel_t0 =
-                    (cache.is_some() && greuse_telemetry::enabled()).then(std::time::Instant::now);
-
-                // Temporal-reuse probe over the quantized codes (this
-                // path has no payload-corrupting fault points, so fused
-                // signatures are the only gate); a rejected tile is
-                // classified from its fresh signatures.
-                let mut warm = false;
-                if let Some(c) = cache.as_mut() {
-                    if fused_ready {
-                        let probe = if tile_hit {
-                            Probe::Hit
-                        } else {
-                            c.probe(panel, fused.signatures(), fused.tau(), pdata, stride, rlen)
-                        };
-                        match probe {
-                            Probe::Hit => {
-                                let _warm = greuse_telemetry::span!("exec.warm_cluster");
-                                scratch.restore(c.assignments(panel.index), c.sizes(panel.index));
-                                stats.cache_hits += 1;
-                                greuse_telemetry::counter!("cache.hit").add(1);
-                                warm = true;
-                            }
-                            Probe::ChangedData => {
-                                stats.cache_invalidations += 1;
-                                greuse_telemetry::counter!("cache.invalidate").add(1);
-                            }
-                            Probe::Cold | Probe::ChangedSigs => {
-                                stats.cache_misses += 1;
-                                greuse_telemetry::counter!("cache.miss").add(1);
-                            }
-                        }
-                    } else {
-                        stats.cache_misses += 1;
-                        greuse_telemetry::counter!("cache.miss").add(1);
-                    }
-                }
-
-                if !warm {
-                    let _cluster = greuse_telemetry::span!("exec.cluster");
-                    if fused_ready {
-                        scratch.cluster_presigned(
-                            &deq_buf[..full_blocks * dim],
-                            full_blocks,
-                            dim,
-                            fused.signatures(),
-                            fused.tau(),
-                        )?;
-                    } else {
-                        scratch.cluster_q8(units, full_blocks, params, family)?;
-                    }
-                }
-                let n_c = scratch.num_clusters();
-                stats.n_vectors += full_blocks as u64;
-                stats.n_clusters += n_c as u64;
-                if !warm {
-                    stats.ops.clustering_vectors += full_blocks as u64;
-                    stats.ops.clustering_macs += family.hashing_macs(full_blocks);
-                }
-
-                if warm {
-                    // Replay the cached pre-zero-point accumulators; the
-                    // zero-point fold and requantization run globally
-                    // after the panel walk, exactly as on a cold call.
-                    let _recover = greuse_telemetry::span!("exec.recover");
-                    if let Some(c) = cache.as_ref() {
-                        recover_rows_i32(
-                            &mut acc[..full_blocks * b * m],
-                            c.yc(panel.index, n_c * b * m),
-                            scratch.assignments(),
-                            b,
-                            m,
-                        );
-                    }
-                    stats.ops.recover_elems += (full_blocks * b * m) as u64;
-                } else {
-                    // Integer centroid fold: rounded mean of member codes,
-                    // written directly in stacked `(n_c·b) x lw` order (the
-                    // block layout is already row-contiguous).
-                    {
-                        let _fold = greuse_telemetry::span!("exec.fold");
-                        let csums = &mut csums[..n_c * dim];
-                        csums.fill(0);
-                        if fused_direct {
-                            // `units` was never filled on this path; member
-                            // rows live contiguously in `x_q` at stride `k`.
-                            scatter_accumulate_u8_i32(
-                                &x_q[col0..],
-                                k,
-                                lw,
-                                scratch.assignments(),
-                                csums,
-                            );
-                        } else {
-                            scatter_accumulate_u8_i32(
-                                units,
-                                dim,
-                                dim,
-                                scratch.assignments(),
-                                csums,
-                            );
-                        }
-                        let stacked = &mut stacked_q[..n_c * dim];
-                        for (c, &size) in scratch.sizes().iter().enumerate() {
-                            let sz = size as i32;
-                            let src = &csums[c * dim..(c + 1) * dim];
-                            let dst = &mut stacked[c * dim..(c + 1) * dim];
-                            for (d, &s) in dst.iter_mut().zip(src) {
-                                *d = ((s + sz / 2) / sz) as u8;
-                            }
-                        }
-                    }
-
-                    // Centroid GEMM: (n_c·b) x lw × (lw x M via Bᵀ).
-                    let yc = &mut yc_buf[..n_c * b * m];
-                    gemm_q8_into_with(
-                        &stacked_q[..n_c * dim],
-                        &wp_q[..m * lw],
-                        yc,
-                        n_c * b,
-                        lw,
-                        m,
-                        gemm,
-                    );
-                    stats.ops.gemm_macs += (n_c * b * lw * m) as u64;
-
-                    {
-                        let _recover = greuse_telemetry::span!("exec.recover");
-                        recover_rows_i32(
-                            &mut acc[..full_blocks * b * m],
-                            yc,
-                            scratch.assignments(),
-                            b,
-                            m,
-                        );
-                    }
-                    stats.ops.recover_elems += (full_blocks * b * m) as u64;
-
-                    // Commit this genuine cold-path result (fused signatures
-                    // required: the staged first call has none to key on).
-                    if fused_ready {
-                        if let Some(c) = cache.as_mut() {
-                            let (pdata, stride): (&[u8], usize) = if fused_direct {
-                                (&x_q[col0..], k)
-                            } else {
-                                (&units_q[..full_blocks * dim], dim)
-                            };
-                            let rlen = if fused_direct { lw } else { dim };
-                            c.store(
-                                panel,
-                                fused.signatures(),
-                                fused.tau(),
-                                pdata,
-                                stride,
-                                rlen,
-                                scratch.assignments(),
-                                scratch.sizes(),
-                                &yc_buf[..n_c * b * m],
-                            );
-                        }
-                    }
-                }
-                if let Some(t0) = panel_t0 {
-                    let hist = if warm { hit_hist } else { miss_hist };
-                    hist.record_ns(t0.elapsed().as_nanos() as u64);
-                }
-            }
-
-            if tail_rows > 0 {
-                {
-                    let _gather = greuse_telemetry::span!("exec.gather");
-                    let tail = &mut tail_q[..tail_rows * lw];
-                    for r in 0..tail_rows {
-                        let row = (full_blocks * b + r) * k;
-                        tail[r * lw..(r + 1) * lw].copy_from_slice(&x_q[row + col0..row + col1]);
-                    }
-                }
-                let yt = &mut yt_buf[..tail_rows * m];
-                gemm_q8_into_with(
-                    &tail_q[..tail_rows * lw],
-                    &wp_q[..m * lw],
-                    yt,
-                    tail_rows,
-                    lw,
-                    m,
-                    gemm,
-                );
-                stats.ops.gemm_macs += (tail_rows * lw * m) as u64;
-                {
-                    let _recover = greuse_telemetry::span!("exec.recover");
-                    for r in 0..tail_rows {
-                        let base = full_blocks * b + r;
-                        let dst = &mut acc[base * m..(base + 1) * m];
-                        add_assign_i32(dst, &yt[r * m..(r + 1) * m]);
-                    }
-                }
-                stats.ops.recover_elems += (tail_rows * m) as u64;
-            }
-        }
-        Ok(())
     }
 }
 

@@ -9,68 +9,401 @@
 //! the result is duplicated to every member (the *recovery* step). Panel
 //! results accumulate into `Y`.
 //!
+//! One driver, [`vertical_into`], runs this walk for both executors: over
+//! `f32` activations for [`super::ExecWorkspace`] and over `u8`
+//! activation codes for [`super::QuantWorkspace`]. The per-panel
+//! sequence — gather, family lookup, fused sweep or staged cluster,
+//! temporal-cache hit/probe/restore, stats, fold, centroid GEMM,
+//! recovery, cache commit, ragged tail — is written once; only the
+//! element-specific steps sit behind the [`PanelElem`] hooks.
+//!
 //! The kernel is a workspace function: every intermediate lives in the
 //! caller's [`PanelBuffers`] arena and nothing is allocated here, which
-//! is what makes the executor's steady state allocation-free.
+//! is what makes the executors' steady state allocation-free.
 
 use greuse_lsh::{ClusterScratch, FusedPanelSource, HashFamily};
-use greuse_tensor::{add_assign_f32, gemm_bt_f32_strided_into_with, recover_rows_f32};
+use greuse_telemetry::metrics::Hist;
+use greuse_tensor::{
+    add_assign_f32, add_assign_i32, dequantize_u8_slice, gemm_bt_f32_strided_into_with,
+    gemm_q8_into_with, recover_rows_f32, recover_rows_i32, scatter_accumulate_u8_i32,
+    ActQuantParams, GemmScratch, Tensor,
+};
 
-use crate::exec::cache::{Probe, ReuseCache};
-use crate::exec::workspace::{panel_family, PanelBuffers, PanelIter, PipelineMode};
+use crate::exec::cache::{CacheElem, Probe, ReuseCache};
+use crate::exec::workspace::{panel_family, Panel, PanelBuffers, PanelIter};
 use crate::exec::ReuseStats;
 use crate::hash_provider::HashProvider;
 use crate::pattern::ReusePattern;
 use crate::Result;
 
+/// The element a vertical panel walk runs over: `f32` activations, or
+/// the int8 executor's `u8` activation codes. Each hook is one step that
+/// differs between the two; everything else is [`vertical_into`].
+///
+/// Strided unit views (`rows`, `stride`, `width`) address unit `g` as
+/// `rows[g * stride..][..width]`: gathered units are contiguous
+/// (`stride == width == dim`), units read in place are rows of the
+/// activation matrix (`stride == K`).
+pub(crate) trait PanelElem: CacheElem {
+    /// Weight element: `f32`, or symmetric `i8` codes.
+    type W;
+    /// GEMM accumulator (`f32` / `i32`), also the centroid-fold staging.
+    type Acc: Copy + Default;
+    /// What maps an element to the real value the hash sees: nothing for
+    /// `f32`, the activation quantization params for `u8`.
+    type Ctx;
+    /// `u8` codes: hashed through a dequantized `f32` staging copy
+    /// (`deq`), folded through integer sums (`centroids`), and read in
+    /// place (no gather) on fused panels of block height 1.
+    const CODES: bool;
+
+    /// The `[hit, miss]` per-panel latency histograms of this backend.
+    fn panel_latency_hists() -> [&'static Hist; 2];
+
+    /// The real-valued unit matrix a hash provider builds a family from.
+    fn family_data(units: &[Self], rows: usize, dim: usize, ctx: &Self::Ctx)
+        -> Result<Tensor<f32>>;
+
+    /// The values the fused sweep hashes: the units themselves, or their
+    /// dequantization into `deq`.
+    fn hash_rows<'a>(
+        rows: &'a [Self],
+        stride: usize,
+        n: usize,
+        dim: usize,
+        deq: &'a mut [f32],
+        ctx: &Self::Ctx,
+    ) -> &'a [f32];
+
+    /// Staged clustering of `n` gathered units of `family.l()` elements.
+    fn cluster(
+        scratch: &mut ClusterScratch,
+        units: &[Self],
+        n: usize,
+        family: &HashFamily,
+        ctx: &Self::Ctx,
+    ) -> Result<()>;
+
+    /// Writes the centroid of every cluster of `scratch`, stacked
+    /// `(n_c·b) x lw` (a block's rows are already row-contiguous), into
+    /// `stacked`; `sums` is the whole `centroids` staging arena.
+    fn fold(
+        scratch: &ClusterScratch,
+        rows: &[Self],
+        stride: usize,
+        dim: usize,
+        sums: &mut [Self::Acc],
+        stacked: &mut [Self],
+    ) -> Result<()>;
+
+    /// `out = a × Wpᵀ` for `rows` rows of the panel's width, where `Wp`
+    /// is `panel`'s slice of the `m x K` weights.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm(
+        a: &[Self],
+        w: &[Self::W],
+        panel: Panel,
+        k: usize,
+        out: &mut [Self::Acc],
+        rows: usize,
+        m: usize,
+        gemm: &mut GemmScratch,
+    ) -> Result<()>;
+
+    /// Recovery: adds cluster `assign[g]`'s `b x m` result rows to block
+    /// `g`'s rows of `y`.
+    fn recover(y: &mut [Self::Acc], yc: &[Self::Acc], assign: &[usize], b: usize, m: usize);
+
+    /// `dst += src`, for the exactly computed ragged tail.
+    fn add_assign(dst: &mut [Self::Acc], src: &[Self::Acc]);
+
+    /// Applies a payload-corrupting fault to the gathered units; `true`
+    /// when it rewrote them (then the fused signatures are stale).
+    #[cfg(feature = "fault-inject")]
+    fn corrupt(action: crate::faults::FaultAction, units: &mut [Self]) -> bool;
+}
+
+impl PanelElem for f32 {
+    type W = f32;
+    type Acc = f32;
+    type Ctx = ();
+    const CODES: bool = false;
+
+    fn panel_latency_hists() -> [&'static Hist; 2] {
+        // Resolved unconditionally so the one-time registry allocation
+        // lands during warm-up rather than inside a measured steady-state
+        // window (same idiom as `Counter` registration).
+        [
+            greuse_telemetry::hist!(r#"cache.panel_latency{backend="f32",result="hit"}"#),
+            greuse_telemetry::hist!(r#"cache.panel_latency{backend="f32",result="miss"}"#),
+        ]
+    }
+
+    fn family_data(units: &[f32], rows: usize, dim: usize, _: &()) -> Result<Tensor<f32>> {
+        Ok(Tensor::from_vec(
+            units[..rows * dim].to_vec(),
+            &[rows, dim],
+        )?)
+    }
+
+    fn hash_rows<'a>(
+        rows: &'a [f32],
+        stride: usize,
+        n: usize,
+        dim: usize,
+        _deq: &'a mut [f32],
+        _: &(),
+    ) -> &'a [f32] {
+        debug_assert_eq!(stride, dim, "f32 units are always gathered");
+        &rows[..n * dim]
+    }
+
+    fn cluster(
+        scratch: &mut ClusterScratch,
+        units: &[f32],
+        n: usize,
+        family: &HashFamily,
+        _: &(),
+    ) -> Result<()> {
+        Ok(scratch.cluster(units, n, family)?)
+    }
+
+    fn fold(
+        scratch: &ClusterScratch,
+        rows: &[f32],
+        stride: usize,
+        dim: usize,
+        _sums: &mut [f32],
+        stacked: &mut [f32],
+    ) -> Result<()> {
+        debug_assert_eq!(stride, dim, "f32 units are always gathered");
+        Ok(scratch.centroids_into(rows, dim, stacked)?)
+    }
+
+    fn gemm(
+        a: &[f32],
+        w: &[f32],
+        panel: Panel,
+        k: usize,
+        out: &mut [f32],
+        rows: usize,
+        m: usize,
+        gemm: &mut GemmScratch,
+    ) -> Result<()> {
+        // The panel's weight slice W[:, start..end] (M rows of lw at
+        // stride K), multiplied in place as Wpᵀ — never copied.
+        let wp = &w[panel.start..];
+        Ok(gemm_bt_f32_strided_into_with(
+            a,
+            wp,
+            k,
+            out,
+            rows,
+            panel.len(),
+            m,
+            gemm,
+        )?)
+    }
+
+    fn recover(y: &mut [f32], yc: &[f32], assign: &[usize], b: usize, m: usize) {
+        recover_rows_f32(y, yc, assign, b, m);
+    }
+
+    fn add_assign(dst: &mut [f32], src: &[f32]) {
+        add_assign_f32(dst, src);
+    }
+
+    #[cfg(feature = "fault-inject")]
+    fn corrupt(action: crate::faults::FaultAction, units: &mut [f32]) -> bool {
+        use crate::faults::FaultAction;
+        let corrupting = matches!(
+            action,
+            FaultAction::CorruptNan | FaultAction::CorruptInf | FaultAction::Saturate
+        );
+        if corrupting {
+            crate::faults::corrupt_slice(action, units);
+        }
+        corrupting
+    }
+}
+
+/// The int8 executor's element. Clustering sees exactly the values the
+/// f32 pipeline would see after quantization noise (the staged clusterer
+/// and the fused sweep dequantize with the same expression); the fold is
+/// the integer rounded mean of the member codes; the centroid GEMM is the
+/// packed u8×i8 kernel with `i32` accumulators over the layer's
+/// panel-major weight codes.
+impl PanelElem for u8 {
+    type W = i8;
+    type Acc = i32;
+    type Ctx = ActQuantParams;
+    const CODES: bool = true;
+
+    fn panel_latency_hists() -> [&'static Hist; 2] {
+        [
+            greuse_telemetry::hist!(r#"cache.panel_latency{backend="int8",result="hit"}"#),
+            greuse_telemetry::hist!(r#"cache.panel_latency{backend="int8",result="miss"}"#),
+        ]
+    }
+
+    fn family_data(
+        units: &[u8],
+        rows: usize,
+        dim: usize,
+        params: &ActQuantParams,
+    ) -> Result<Tensor<f32>> {
+        Ok(Tensor::from_fn(&[rows, dim], |i| {
+            params.dequantize(units[i])
+        }))
+    }
+
+    fn hash_rows<'a>(
+        rows: &'a [u8],
+        stride: usize,
+        n: usize,
+        dim: usize,
+        deq: &'a mut [f32],
+        params: &ActQuantParams,
+    ) -> &'a [f32] {
+        // One vectorized pass over the panel's codes; the hash and norm
+        // scan then read the result while it is still cache-hot.
+        let deq = &mut deq[..n * dim];
+        if stride == dim {
+            dequantize_u8_slice(&rows[..n * dim], params.scale, params.zero_point, deq);
+        } else {
+            for (g, d) in deq.chunks_exact_mut(dim).enumerate() {
+                let row = &rows[g * stride..g * stride + dim];
+                dequantize_u8_slice(row, params.scale, params.zero_point, d);
+            }
+        }
+        deq
+    }
+
+    fn cluster(
+        scratch: &mut ClusterScratch,
+        units: &[u8],
+        n: usize,
+        family: &HashFamily,
+        params: &ActQuantParams,
+    ) -> Result<()> {
+        Ok(scratch.cluster_q8(units, n, params, family)?)
+    }
+
+    fn fold(
+        scratch: &ClusterScratch,
+        rows: &[u8],
+        stride: usize,
+        dim: usize,
+        sums: &mut [i32],
+        stacked: &mut [u8],
+    ) -> Result<()> {
+        // A centroid's code is the rounded mean of its members' codes,
+        // which equals quantizing the mean of the dequantized members (the
+        // affine map commutes with averaging) up to one rounding step.
+        let sums = &mut sums[..stacked.len()];
+        sums.fill(0);
+        scatter_accumulate_u8_i32(rows, stride, dim, scratch.assignments(), sums);
+        for (c, &size) in scratch.sizes().iter().enumerate() {
+            let sz = size as i32;
+            let src = &sums[c * dim..(c + 1) * dim];
+            let dst = &mut stacked[c * dim..(c + 1) * dim];
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = ((s + sz / 2) / sz) as u8;
+            }
+        }
+        Ok(())
+    }
+
+    fn gemm(
+        a: &[u8],
+        w: &[i8],
+        panel: Panel,
+        _k: usize,
+        out: &mut [i32],
+        rows: usize,
+        m: usize,
+        gemm: &mut GemmScratch,
+    ) -> Result<()> {
+        // Panel-major weight codes: the panel's M x lw block is
+        // contiguous, rows at stride lw (qgemm's Bᵀ).
+        let wp = &w[m * panel.start..m * panel.end];
+        gemm_q8_into_with(a, wp, out, rows, panel.len(), m, gemm);
+        Ok(())
+    }
+
+    fn recover(acc: &mut [i32], yc: &[i32], assign: &[usize], b: usize, m: usize) {
+        recover_rows_i32(acc, yc, assign, b, m);
+    }
+
+    fn add_assign(dst: &mut [i32], src: &[i32]) {
+        add_assign_i32(dst, src);
+    }
+
+    /// Payload-corrupting actions have no `u8` meaning: the fault fires
+    /// (so the panel is still kept out of the cache) but the codes stay.
+    #[cfg(feature = "fault-inject")]
+    fn corrupt(_: crate::faults::FaultAction, _: &mut [u8]) -> bool {
+        false
+    }
+}
+
+/// Runs the vertical reuse walk of `y += x × wᵀ` (`x` is `N x K`, `y` is
+/// `N x M` and zeroed by the caller) for either element of
+/// [`PanelElem`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn vertical_into(
-    x: &[f32],
-    w: &[f32],
+pub(crate) fn vertical_into<E: PanelElem>(
+    x: &[E],
+    w: &[E::W],
     n: usize,
     k: usize,
     m: usize,
     pattern: &ReusePattern,
     hashes: &dyn HashProvider,
     layer: &str,
-    buf: &mut PanelBuffers,
+    ctx: &E::Ctx,
+    buf: &mut PanelBuffers<E>,
     scratch: &mut ClusterScratch,
     families: &mut Vec<HashFamily>,
     fsrc: &mut FusedPanelSource,
-    mode: PipelineMode,
-    mut cache: Option<&mut ReuseCache<f32, f32>>,
-    y: &mut [f32],
+    mut cache: Option<&mut ReuseCache<E, E::Acc>>,
+    y: &mut [E::Acc],
     stats: &mut ReuseStats,
 ) -> Result<()> {
     let l = pattern.l.min(k);
     let b = pattern.block_rows.min(n);
     let full_blocks = n / b;
     let tail_rows = n - full_blocks * b;
-
-    // Resolved unconditionally so the one-time registry allocation lands
-    // during warm-up rather than inside a measured steady-state window
-    // (same idiom as `Counter` registration).
-    let hit_hist = greuse_telemetry::hist!(r#"cache.panel_latency{backend="f32",result="hit"}"#);
-    let miss_hist = greuse_telemetry::hist!(r#"cache.panel_latency{backend="f32",result="miss"}"#);
+    let [hit_hist, miss_hist] = E::panel_latency_hists();
+    let PanelBuffers {
+        units: units_buf,
+        centroids: sums_buf,
+        stacked: stacked_buf,
+        yc: yc_buf,
+        tail: tail_buf,
+        yt: yt_buf,
+        deq,
+        gemm,
+        ..
+    } = buf;
 
     for panel in PanelIter::new(k, l) {
         let (col0, col1, lw) = (panel.start, panel.end, panel.len());
-        // The panel's weight slice W[:, col0..col1] (M rows of lw at
-        // stride K), multiplied in place as Wpᵀ — never copied.
-        let wp = &w[col0..];
 
         if full_blocks > 0 {
-            // Gather block vectors: full_blocks x (b*lw). With the fused
-            // pipeline and a cached family, the gathered (cache-hot) panel
-            // is then hashed and norm-scanned in one batched sweep instead
-            // of two more passes (packed-projection hash, norm scan).
+            // Gather block vectors: full_blocks x (b*lw). With a cached
+            // family (a data-independent provider, from the layer's second
+            // call on), the gathered (cache-hot) panel is then hashed and
+            // norm-scanned in one batched sweep instead of two more passes
+            // (packed-projection hash, norm scan).
             let dim = b * lw;
-            let units = &mut buf.units[..full_blocks * dim];
-            let fused_ready = mode == PipelineMode::Fused
-                && hashes.data_independent()
-                && families.len() > panel.index;
-            {
+            let fused_ready = hashes.data_independent() && families.len() > panel.index;
+            // At block height 1 every unit of a code matrix is a
+            // contiguous row slice of `x`, so the fused path reads it in
+            // place and skips the gather copy.
+            let in_place = E::CODES && fused_ready && b == 1;
+            if !in_place {
                 let _gather = greuse_telemetry::span!("exec.gather");
+                let units = &mut units_buf[..full_blocks * dim];
                 for g in 0..full_blocks {
                     let dst = &mut units[g * dim..(g + 1) * dim];
                     for br in 0..b {
@@ -87,57 +420,56 @@ pub(crate) fn vertical_into(
                 layer,
                 panel.index,
                 pattern.h,
-                units,
+                &units_buf[..full_blocks * dim],
                 full_blocks,
                 dim,
+                ctx,
             )?;
             #[cfg(feature = "fault-inject")]
-            let injected = {
-                use crate::faults::{corrupt_slice, fire, FaultAction, FaultPoint};
-                let action = fire(FaultPoint::LshHash);
-                match action {
-                    Some(FaultAction::Panic) => panic!("fault-inject: panic at `lsh.hash`"),
-                    Some(
-                        c @ (FaultAction::CorruptNan
-                        | FaultAction::CorruptInf
-                        | FaultAction::Saturate),
-                    ) => corrupt_slice(c, units),
-                    _ => {}
+            let injected = crate::faults::fire(crate::faults::FaultPoint::LshHash);
+            #[cfg(feature = "fault-inject")]
+            let corrupted = match injected {
+                Some(crate::faults::FaultAction::Panic) => {
+                    panic!("fault-inject: panic at `lsh.hash`")
                 }
-                action
+                Some(action) => E::corrupt(action, &mut units_buf[..full_blocks * dim]),
+                None => false,
             };
             // A corrupting fault rewrites the gathered units; hash the
             // corrupted data through the staged path so the fault is
-            // observed exactly as in staged mode.
+            // observed exactly as on a first call.
             #[cfg(feature = "fault-inject")]
-            let fused_ready = fused_ready
-                && !matches!(
-                    injected,
-                    Some(
-                        crate::faults::FaultAction::CorruptNan
-                            | crate::faults::FaultAction::CorruptInf
-                            | crate::faults::FaultAction::Saturate
-                    )
-                );
+            let fused_ready = fused_ready && !corrupted;
             #[cfg(feature = "fault-inject")]
             let fault_clean = injected.is_none();
             #[cfg(not(feature = "fault-inject"))]
             let fault_clean = true;
-            let units = &buf.units[..full_blocks * dim];
+            let units = &units_buf[..full_blocks * dim];
+            // The unit rows as the cache and the fold see them: strided in
+            // `x` when read in place, gathered otherwise.
+            let (rows, stride, width) = if in_place {
+                (&x[col0..], k, lw)
+            } else {
+                (units, dim, dim)
+            };
 
             // Temporal-reuse fast path: a tile bitwise equal to its cached
             // copy has the cached signatures and radius as well (pure
-            // functions of the data under this layer's fixed families), so
-            // it replays without being hashed. Every other tile is hashed.
+            // functions of the data under this layer's fixed families; the
+            // int8 executor clears the cache when its quantization params
+            // change), so it replays without being hashed. Every other
+            // tile is hashed.
             let tile_hit = fused_ready
                 && fault_clean
                 && cache
                     .as_deref()
-                    .is_some_and(|c| c.hit(panel, units, dim, dim));
+                    .is_some_and(|c| c.hit(panel, rows, stride, width));
+            let mut hashed: &[f32] = &[];
             if fused_ready && !tile_hit {
                 let _fused = greuse_telemetry::span!("exec.fused_pack_hash");
                 fsrc.begin_panel(family);
-                fsrc.feed_rows(units, full_blocks);
+                hashed = E::hash_rows(rows, stride, full_blocks, dim, deq, ctx);
+                fsrc.feed_rows(hashed, full_blocks);
             }
 
             // Per-panel latency, split by cache outcome. Clock reads only
@@ -156,7 +488,7 @@ pub(crate) fn vertical_into(
                     let probe = if tile_hit {
                         Probe::Hit
                     } else {
-                        c.probe(panel, fsrc.signatures(), fsrc.tau(), units, dim, dim)
+                        c.probe(panel, fsrc.signatures(), fsrc.tau(), rows, stride, width)
                     };
                     match probe {
                         Probe::Hit => {
@@ -186,14 +518,14 @@ pub(crate) fn vertical_into(
                     let _cluster = greuse_telemetry::span!("exec.cluster");
                     if fused_ready {
                         scratch.cluster_presigned(
-                            units,
+                            hashed,
                             full_blocks,
                             dim,
                             fsrc.signatures(),
                             fsrc.tau(),
                         )?;
                     } else {
-                        scratch.cluster(units, full_blocks, family)?;
+                        E::cluster(scratch, units, full_blocks, family, ctx)?;
                     }
                 }
                 #[cfg(feature = "fault-inject")]
@@ -216,7 +548,7 @@ pub(crate) fn vertical_into(
                 // are skipped entirely, only recovery runs.
                 let _recover = greuse_telemetry::span!("exec.recover");
                 if let Some(c) = cache.as_deref() {
-                    recover_rows_f32(
+                    E::recover(
                         &mut y[..full_blocks * b * m],
                         c.yc(panel.index, n_c * b * m),
                         scratch.assignments(),
@@ -225,36 +557,32 @@ pub(crate) fn vertical_into(
                     );
                 }
             } else {
-                // Centroid blocks, then stacked as (n_c * b) x lw.
+                // Centroid blocks, stacked as (n_c * b) x lw.
                 {
                     let _fold = greuse_telemetry::span!("exec.fold");
                     #[cfg(feature = "fault-inject")]
                     crate::faults::panic_point(crate::faults::FaultPoint::ExecFold, "exec.fold");
-                    let centroids = &mut buf.centroids[..n_c * dim];
-                    scratch.centroids_into(units, dim, centroids)?;
-                    let stacked = &mut buf.stacked[..n_c * b * lw];
-                    for c in 0..n_c {
-                        for br in 0..b {
-                            stacked[(c * b + br) * lw..(c * b + br + 1) * lw].copy_from_slice(
-                                &centroids[c * dim + br * lw..c * dim + (br + 1) * lw],
-                            );
-                        }
-                    }
+                    E::fold(
+                        scratch,
+                        rows,
+                        stride,
+                        dim,
+                        sums_buf,
+                        &mut stacked_buf[..n_c * dim],
+                    )?;
                 }
-                let stacked = &buf.stacked[..n_c * b * lw];
                 // Centroid GEMM: (n_c*b) x lw × Wpᵀ (lw x M).
-                let yc = &mut buf.yc[..n_c * b * m];
+                let yc = &mut yc_buf[..n_c * b * m];
                 {
                     let _gemm = greuse_telemetry::span!("exec.gemm");
-                    let rows = n_c * b;
-                    gemm_bt_f32_strided_into_with(stacked, wp, k, yc, rows, lw, m, &mut buf.gemm)?;
+                    E::gemm(&stacked_buf[..n_c * dim], w, panel, k, yc, n_c * b, m, gemm)?;
                 }
                 stats.ops.gemm_macs += (n_c * b * lw * m) as u64;
 
                 // Recovery: duplicate each cluster's block result to members.
                 {
                     let _recover = greuse_telemetry::span!("exec.recover");
-                    recover_rows_f32(
+                    E::recover(
                         &mut y[..full_blocks * b * m],
                         yc,
                         scratch.assignments(),
@@ -272,12 +600,12 @@ pub(crate) fn vertical_into(
                             panel,
                             fsrc.signatures(),
                             fsrc.tau(),
-                            units,
-                            dim,
-                            dim,
+                            rows,
+                            stride,
+                            width,
                             scratch.assignments(),
                             scratch.sizes(),
-                            &buf.yc[..n_c * b * m],
+                            &yc_buf[..n_c * b * m],
                         );
                     }
                 }
@@ -291,7 +619,7 @@ pub(crate) fn vertical_into(
 
         if tail_rows > 0 {
             // Exact computation for the ragged tail.
-            let tail = &mut buf.tail[..tail_rows * lw];
+            let tail = &mut tail_buf[..tail_rows * lw];
             {
                 let _gather = greuse_telemetry::span!("exec.gather");
                 for r in 0..tail_rows {
@@ -299,17 +627,17 @@ pub(crate) fn vertical_into(
                     tail[r * lw..(r + 1) * lw].copy_from_slice(&x[row + col0..row + col1]);
                 }
             }
-            let yt = &mut buf.yt[..tail_rows * m];
+            let yt = &mut yt_buf[..tail_rows * m];
             {
                 let _gemm = greuse_telemetry::span!("exec.gemm");
-                gemm_bt_f32_strided_into_with(tail, wp, k, yt, tail_rows, lw, m, &mut buf.gemm)?;
+                E::gemm(tail, w, panel, k, yt, tail_rows, m, gemm)?;
             }
             stats.ops.gemm_macs += (tail_rows * lw * m) as u64;
             {
                 let _recover = greuse_telemetry::span!("exec.recover");
                 for r in 0..tail_rows {
                     let dst = &mut y[(full_blocks * b + r) * m..(full_blocks * b + r + 1) * m];
-                    add_assign_f32(dst, &yt[r * m..(r + 1) * m]);
+                    E::add_assign(dst, &yt[r * m..(r + 1) * m]);
                 }
             }
             stats.ops.recover_elems += (tail_rows * m) as u64;

@@ -28,8 +28,8 @@ use greuse_tensor::{ConvSpec, GemmScratch, Permutation, Tensor};
 
 use crate::exec::cache::ReuseCache;
 use crate::exec::horizontal::horizontal_into;
-use crate::exec::vertical::vertical_into;
-use crate::exec::ReuseStats;
+use crate::exec::vertical::{vertical_into, PanelElem};
+use crate::exec::{ReuseOutput, ReuseStats};
 use crate::hash_provider::HashProvider;
 use crate::pattern::{ReuseDirection, ReusePattern};
 use crate::reorder::{column_permutation, row_permutation};
@@ -38,7 +38,7 @@ use crate::Result;
 /// One panel of a [`PanelIter`] walk: a half-open index range plus the
 /// panel's ordinal (used to key per-panel hash families).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Panel {
+pub(crate) struct Panel {
     /// Ordinal of this panel (0-based).
     pub index: usize,
     /// First index covered (column for vertical, row for horizontal).
@@ -52,18 +52,13 @@ impl Panel {
     pub fn len(&self) -> usize {
         self.end - self.start
     }
-
-    /// Whether the panel is empty (never yielded by [`PanelIter`]).
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
 }
 
 /// Iterator slicing `0..total` into consecutive panels of at most `step`
 /// indices — the panel walk shared by the vertical (columns of width `L`)
 /// and horizontal (rows of height `L`) executors.
 #[derive(Debug, Clone)]
-pub struct PanelIter {
+pub(crate) struct PanelIter {
     total: usize,
     step: usize,
     pos: usize,
@@ -98,31 +93,6 @@ impl Iterator for PanelIter {
         self.index += 1;
         Some(panel)
     }
-}
-
-/// Which per-panel pipeline drives the hash/cluster/pack stages.
-///
-/// [`PipelineMode::Fused`] (the default) materializes, hashes, and
-/// norm-scans every reuse unit in **one memory sweep** via
-/// [`greuse_lsh::FusedPanelSource`], then groups with precomputed
-/// signatures. [`PipelineMode::Staged`] is the legacy three-sweep walk
-/// (gather, packed-projection hash, norm scan). The two produce
-/// **bit-identical** outputs and statistics; `Staged` exists as the
-/// differential-testing oracle and for A/B benchmarking.
-///
-/// The fused sweep needs the panel's hash family *before* the data is
-/// gathered, so it engages only once the family is cached in the layer's
-/// resident entry — i.e. from the layer's second call on a stable key,
-/// with a data-independent hash provider, however many other layers ran
-/// in between. A layer's first call (and every call of data-adapted
-/// providers) runs staged regardless of the mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PipelineMode {
-    /// Hash-during-pack single sweep (default).
-    #[default]
-    Fused,
-    /// Legacy gather → hash → norm-scan three-sweep pipeline.
-    Staged,
 }
 
 /// What a layer entry was built for: the workspace key.
@@ -191,22 +161,12 @@ impl LayerState {
         });
         let row_perm = pattern.row_order.needs_layout_pass().then(|| {
             let (oh, ow) = match spec {
-                Some(s) => output_hw_for_rows(s, n).unwrap_or((n, 1)),
+                Some(_) => output_hw_for_rows(n).unwrap_or((n, 1)),
                 None => (n, 1),
             };
             row_permutation(pattern.row_order, oh, ow)
         });
-        let cache = temporal_cache.then(|| {
-            let mut cache = ReuseCache::default();
-            if pattern.direction == ReuseDirection::Vertical {
-                let l = pattern.l.min(k);
-                let b = pattern.block_rows.min(n);
-                // Panel widths sum to k, so one `full_blocks * b * k`
-                // arena holds every panel's unit data.
-                cache.reserve(k.div_ceil(l), n / b, b, k, m);
-            }
-            cache
-        });
+        let cache = temporal_cache.then(|| ReuseCache::for_pattern(Some(pattern), n, k, m));
         LayerState {
             key: WsKey {
                 layer: layer.to_string(),
@@ -225,28 +185,64 @@ impl LayerState {
     }
 }
 
-/// Per-panel scratch buffers shared by both direction kernels. All are
-/// plain `Vec<f32>` arenas sliced to the exact per-panel size at use.
+/// Per-panel scratch buffers shared by the direction kernels, over the
+/// walk's element `E` (`f32`, or `u8` codes for the int8 executor). All
+/// are plain arenas sliced to the exact per-panel size at use.
 #[derive(Debug, Default)]
-pub(crate) struct PanelBuffers {
+pub(crate) struct PanelBuffers<E: PanelElem> {
     /// Gathered reuse units, one per row (vertical: 2-D blocks flattened;
     /// horizontal: panel columns).
-    pub units: Vec<f32>,
-    /// Cluster centroids (`n_c x dim`).
-    pub centroids: Vec<f32>,
+    pub units: Vec<E>,
+    /// Horizontal: cluster centroids (`n_c x lh`); vertical `u8`: the
+    /// fold's integer centroid sums (`n_c x dim`).
+    pub centroids: Vec<E::Acc>,
     /// Vertical: stacked centroid blocks (`n_c·b x lw`); horizontal: the
     /// centroid matrix transposed (`lh x n_c`).
-    pub stacked: Vec<f32>,
+    pub stacked: Vec<E>,
     /// Centroid-GEMM output.
-    pub yc: Vec<f32>,
+    pub yc: Vec<E::Acc>,
     /// Horizontal: folded weights (`n_c x M`).
     pub folded: Vec<f32>,
     /// Vertical: ragged-tail rows (`tail x lw`).
-    pub tail: Vec<f32>,
+    pub tail: Vec<E>,
     /// Vertical: tail GEMM output (`tail x M`).
-    pub yt: Vec<f32>,
+    pub yt: Vec<E::Acc>,
+    /// Vertical `u8`: dequantized units the fused sweep hashes and the
+    /// refinement walk measures (`full_blocks x dim`).
+    pub deq: Vec<f32>,
     /// Pack buffers for the centroid/tail GEMMs (packed microkernel).
     pub gemm: GemmScratch,
+}
+
+impl<E: PanelElem> PanelBuffers<E> {
+    /// Grows the buffers (and the fused-sweep source) to fit a vertical
+    /// walk of an `n x k` activation matrix against `m` outputs.
+    pub(crate) fn reserve_vertical(
+        &mut self,
+        fused: &mut FusedPanelSource,
+        n: usize,
+        k: usize,
+        m: usize,
+        pattern: &ReusePattern,
+    ) {
+        let l = pattern.l.min(k);
+        let b = pattern.block_rows.min(n);
+        let full_blocks = n / b;
+        let dim = b * l;
+        let tail = n - full_blocks * b;
+        grow(&mut self.units, full_blocks * dim);
+        if E::CODES {
+            grow(&mut self.centroids, full_blocks * dim);
+        }
+        grow(&mut self.stacked, full_blocks * dim);
+        grow(&mut self.yc, full_blocks * b * m);
+        if E::CODES {
+            grow(&mut self.deq, full_blocks * dim);
+        }
+        grow(&mut self.tail, tail * l);
+        grow(&mut self.yt, tail * m);
+        fused.reserve(pattern.h, dim, full_blocks);
+    }
 }
 
 /// Grows `buf` to at least `len` elements, never shrinking it. Transient
@@ -310,10 +306,9 @@ pub struct ExecWorkspace {
     x_buf: Vec<f32>,
     w_buf: Vec<f32>,
     y_buf: Vec<f32>,
-    buf: PanelBuffers,
+    buf: PanelBuffers<f32>,
     scratch: ClusterScratch,
     fused: FusedPanelSource,
-    mode: PipelineMode,
     temporal_cache: bool,
 }
 
@@ -342,18 +337,6 @@ impl ExecWorkspace {
     /// Whether the temporal reuse cache is enabled.
     pub fn temporal_cache_enabled(&self) -> bool {
         self.temporal_cache
-    }
-
-    /// Selects the per-panel pipeline (see [`PipelineMode`]). The default
-    /// is [`PipelineMode::Fused`]; switching modes never changes results,
-    /// only the number of memory sweeps per panel.
-    pub fn set_pipeline(&mut self, mode: PipelineMode) {
-        self.mode = mode;
-    }
-
-    /// The currently selected per-panel pipeline.
-    pub fn pipeline(&self) -> PipelineMode {
-        self.mode
     }
 
     /// The shared GEMM pack buffers, lent to callers that run an exact
@@ -400,20 +383,7 @@ impl ExecWorkspace {
         }
         let buf = &mut self.buf;
         match pattern.direction {
-            ReuseDirection::Vertical => {
-                let l = pattern.l.min(k);
-                let b = pattern.block_rows.min(n);
-                let full_blocks = n / b;
-                let dim = b * l;
-                let tail = n - full_blocks * b;
-                grow(&mut buf.units, full_blocks * dim);
-                grow(&mut buf.centroids, full_blocks * dim);
-                grow(&mut buf.stacked, full_blocks * dim);
-                grow(&mut buf.yc, full_blocks * b * m);
-                grow(&mut buf.tail, tail * l);
-                grow(&mut buf.yt, tail * m);
-                self.fused.reserve(pattern.h, dim, full_blocks);
-            }
+            ReuseDirection::Vertical => buf.reserve_vertical(&mut self.fused, n, k, m, pattern),
             ReuseDirection::Horizontal => {
                 let l = pattern.l.min(n);
                 grow(&mut buf.units, k * l);
@@ -446,11 +416,31 @@ impl ExecWorkspace {
         Ok(())
     }
 
+    /// Executes `Y ≈ X × Wᵀ` under `pattern` into a new output tensor —
+    /// [`ExecWorkspace::execute_into`] plus the output allocation. `spec`
+    /// selects spec-aware column permutations (channel-first etc. need
+    /// the conv geometry); `layer` keys the provider's hash families.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ExecWorkspace::execute_into`].
+    pub fn execute(
+        &mut self,
+        x: &Tensor<f32>,
+        w: &Tensor<f32>,
+        spec: Option<&ConvSpec>,
+        pattern: &ReusePattern,
+        hashes: &dyn HashProvider,
+        layer: &str,
+    ) -> Result<ReuseOutput> {
+        let mut y = Tensor::zeros(&[x.rows(), w.rows()]);
+        let stats = self.execute_into(x, w, spec, pattern, hashes, layer, y.as_mut_slice())?;
+        Ok(ReuseOutput { y, stats })
+    }
+
     /// Executes `Y ≈ X × Wᵀ` under `pattern` into the caller-provided
     /// `y` buffer (`N x M` row-major, original row order), returning the
-    /// run's statistics. Semantically identical to
-    /// [`crate::execute_reuse_named`] / [`crate::execute_reuse_with_spec`]
-    /// (depending on `spec`), but allocation-free in steady state.
+    /// run's statistics. Allocation-free in steady state.
     ///
     /// # Errors
     ///
@@ -498,7 +488,6 @@ impl ExecWorkspace {
             buf,
             scratch,
             fused,
-            mode,
             ..
         } = self;
         let LayerState {
@@ -562,7 +551,7 @@ impl ExecWorkspace {
 
         // The fused sweep only engages once the panel families are cached
         // (second call onward); label the series accordingly.
-        let fused_engaged = *mode == PipelineMode::Fused && !families.is_empty();
+        let fused_engaged = !families.is_empty();
 
         let mut stats = ReuseStats::default();
         {
@@ -581,18 +570,18 @@ impl ExecWorkspace {
                     pattern,
                     hashes,
                     layer,
+                    &(),
                     buf,
                     scratch,
                     families,
                     fused,
-                    *mode,
                     cache.as_mut(),
                     y_work,
                     &mut stats,
                 )?,
                 ReuseDirection::Horizontal => horizontal_into(
                     x_work, w_work, n, k, m, pattern, hashes, layer, buf, scratch, families, fused,
-                    *mode, y_work, &mut stats,
+                    y_work, &mut stats,
                 )?,
             }
         }
@@ -650,29 +639,30 @@ pub(crate) fn latency_mode_index(stats: &ReuseStats, fused_engaged: bool) -> usi
 /// Data-independent providers are asked once per panel per workspace key;
 /// the family is then served from the workspace cache with no provider
 /// round-trip (no key-string allocation, no family clone). Data-dependent
-/// providers see the gathered unit matrix on every call, exactly as the
-/// allocating executors passed it.
+/// providers see the gathered unit matrix (dequantized, for codes) on
+/// every call.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn panel_family<'a>(
+pub(crate) fn panel_family<'a, E: PanelElem>(
     families: &'a mut Vec<HashFamily>,
     owned: &'a mut Option<HashFamily>,
     hashes: &dyn HashProvider,
     layer: &str,
     panel: usize,
     h: usize,
-    units: &[f32],
+    units: &[E],
     rows: usize,
     dim: usize,
+    ctx: &E::Ctx,
 ) -> Result<&'a HashFamily> {
     if hashes.data_independent() {
         if families.len() <= panel {
             debug_assert_eq!(families.len(), panel, "panels are visited in order");
-            let data = Tensor::from_vec(units[..rows * dim].to_vec(), &[rows, dim])?;
+            let data = E::family_data(units, rows, dim, ctx)?;
             families.push(hashes.family(layer, panel, h, &data)?);
         }
         Ok(&families[panel])
     } else {
-        let data = Tensor::from_vec(units[..rows * dim].to_vec(), &[rows, dim])?;
+        let data = E::family_data(units, rows, dim, ctx)?;
         *owned = Some(hashes.family(layer, panel, h, &data)?);
         Ok(owned.as_ref().expect("just stored"))
     }
@@ -681,7 +671,7 @@ pub(crate) fn panel_family<'a>(
 /// Recovers a conv output grid from a row count: the executor does not
 /// know the input H/W, but output grids in this workspace are square or
 /// near-square, so take the tallest factorization `h <= w`.
-pub(crate) fn output_hw_for_rows(_spec: &ConvSpec, n: usize) -> Option<(usize, usize)> {
+pub(crate) fn output_hw_for_rows(n: usize) -> Option<(usize, usize)> {
     let mut best = None;
     let mut h = 1usize;
     while h * h <= n {
@@ -718,7 +708,7 @@ mod tests {
             }
         );
         assert_eq!(panels.iter().map(Panel::len).sum::<usize>(), 25);
-        assert!(panels.iter().all(|p| !p.is_empty()));
+        assert!(panels.iter().all(|p| p.len() > 0));
     }
 
     #[test]
@@ -776,9 +766,8 @@ mod tests {
 
     #[test]
     fn output_hw_takes_tallest_factorization() {
-        let spec = ConvSpec::new(1, 1, 1, 1);
-        assert_eq!(output_hw_for_rows(&spec, 36), Some((6, 6)));
-        assert_eq!(output_hw_for_rows(&spec, 30), Some((5, 6)));
-        assert_eq!(output_hw_for_rows(&spec, 7), Some((1, 7)));
+        assert_eq!(output_hw_for_rows(36), Some((6, 6)));
+        assert_eq!(output_hw_for_rows(30), Some((5, 6)));
+        assert_eq!(output_hw_for_rows(7), Some((1, 7)));
     }
 }

@@ -64,7 +64,6 @@ mod report;
 mod scope;
 mod select;
 pub mod serve;
-mod winograd_reuse;
 pub mod workflow;
 
 pub use adaptive::{redundancy_probe, AdaptiveBackend, AdaptivePolicy, PolicyChoice};
@@ -72,8 +71,7 @@ pub use backend::{LayerStats, ReuseBackend};
 pub use error::GreuseError;
 pub use exec::{
     execute_reuse, execute_reuse_batch, execute_reuse_images, execute_reuse_images_parallel,
-    execute_reuse_in, execute_reuse_named, execute_reuse_with_spec, BatchExecutor, BatchStacking,
-    ExecWorkspace, Panel, PanelIter, PipelineMode, QuantWorkspace, ReuseOutput, ReuseStats,
+    BatchExecutor, BatchStacking, ExecWorkspace, QuantWorkspace, ReuseOutput, ReuseStats,
 };
 pub use guard::{
     breakeven_rt, breakeven_rt_fused, first_non_finite, sanitize_non_finite, should_fall_back,
@@ -99,7 +97,6 @@ pub use report::{
 };
 pub use scope::Scope;
 pub use select::{pareto_front, rank_patterns, PatternScore, SelectionStrategy};
-pub use winograd_reuse::{winograd_reuse_conv2d, WinogradReuseOutput};
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, GreuseError>;

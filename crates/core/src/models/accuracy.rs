@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use greuse_lsh::{cluster_rows, cluster_vectors, Clustering};
 use greuse_tensor::{covariance, max_eigenvalue, Tensor};
 
-use crate::exec::execute_reuse_named;
+use crate::exec::ExecWorkspace;
 use crate::hash_provider::HashProvider;
 use crate::pattern::{ReuseDirection, ReusePattern};
 use crate::reorder::{column_permutation, row_permutation};
@@ -338,7 +338,7 @@ pub fn measured_error(
     hashes: &dyn HashProvider,
 ) -> Result<f64> {
     let exact = greuse_tensor::gemm_bt_f32(x, w)?;
-    let approx = execute_reuse_named(x, w, pattern, hashes, "profile")?;
+    let approx = ExecWorkspace::new().execute(x, w, None, pattern, hashes, "profile")?;
     let mut err = 0.0f64;
     for (a, b) in exact.as_slice().iter().zip(approx.y.as_slice()) {
         let d = f64::from(a - b);
@@ -363,7 +363,7 @@ pub fn measured_error_with_spec(
     hashes: &dyn HashProvider,
 ) -> Result<f64> {
     let exact = greuse_tensor::gemm_bt_f32(x, w)?;
-    let approx = crate::exec::execute_reuse_with_spec(x, w, spec, pattern, hashes, "profile")?;
+    let approx = ExecWorkspace::new().execute(x, w, Some(spec), pattern, hashes, "profile")?;
     let mut err = 0.0f64;
     for (a, b) in exact.as_slice().iter().zip(approx.y.as_slice()) {
         let d = f64::from(a - b);
@@ -462,7 +462,9 @@ mod tests {
         let w = rand_mat(4, 20, 14);
         let p = ReusePattern::conventional(10, 3);
         let est = accuracy_bound(&x, &w, &p, &hashes).unwrap();
-        let exec = execute_reuse_named(&x, &w, &p, &hashes, "profile").unwrap();
+        let exec = ExecWorkspace::new()
+            .execute(&x, &w, None, &p, &hashes, "profile")
+            .unwrap();
         assert_eq!(est.n_vectors, exec.stats.n_vectors);
         // Provider families are keyed by layer ("profile" both times), so
         // cluster counts must agree exactly.

@@ -336,7 +336,6 @@ mod tests {
 
     #[test]
     fn precompiled_workspace_matches_lazy_execution() {
-        use crate::exec::execute_reuse_with_spec;
         use crate::hash_provider::RandomHashProvider;
         use greuse_tensor::{ConvSpec, Tensor};
 
@@ -356,7 +355,9 @@ mod tests {
         let stats = ws
             .execute_into(&x, &w, Some(&spec), &pattern, &hashes, "conv2", &mut y)
             .unwrap();
-        let lazy = execute_reuse_with_spec(&x, &w, &spec, &pattern, &hashes, "conv2").unwrap();
+        let lazy = crate::ExecWorkspace::new()
+            .execute(&x, &w, Some(&spec), &pattern, &hashes, "conv2")
+            .unwrap();
         assert_eq!(y, lazy.y.as_slice());
         assert_eq!(stats, lazy.stats);
         // Dense layers have no workspace.

@@ -1,33 +1,34 @@
 //! Property-based equivalence of the fused single-sweep pipeline and
 //! the staged pipeline.
 //!
-//! The fused pipeline ([`PipelineMode::Fused`], the default) hashes each
-//! neuron vector *as it is gathered* instead of in a separate sweep, and
-//! feeds the precomputed signatures into the clusterer via
-//! `cluster_presigned`. Its contract is **bit-identity** with the staged
-//! pipeline on the f32 path: identical output bits and identical
-//! [`ReuseStats`] for every shape, pattern, reorder, direction and block
-//! height — the fusion only reorders *when* work happens, never *what*
-//! arithmetic is performed or in which accumulation order.
+//! The fused pipeline hashes each neuron vector *as it is gathered*
+//! instead of in a separate sweep, and feeds the precomputed signatures
+//! into the clusterer via `cluster_presigned`. It engages once a layer's
+//! data-independent hash families are cached, so a fresh workspace's
+//! first call runs staged and its second call runs fused. Its contract
+//! is **bit-identity** with the staged pipeline on the f32 path:
+//! identical output bits and identical `ReuseStats` for every shape,
+//! pattern, reorder, direction and block height — the fusion only
+//! reorders *when* work happens, never *what* arithmetic is performed or
+//! in which accumulation order.
 //!
 //! On the int8 path the same property holds (the fused sweep dequantizes
 //! with the same `scale * (q - zero_point)` expression the staged
-//! clusterer uses), and both pipelines must additionally stay within the
+//! clusterer uses), and the fused path must additionally stay within the
 //! documented worst-case quantization tolerance of the f32 reference —
 //! the same bound the golden-vector conformance suite enforces.
 //!
-//! Each workspace is executed twice per property case: the fused
-//! pipeline engages on the second call, once the data-independent hash
-//! families are cached (the first call always runs staged, which is
-//! itself part of the contract being checked).
+//! Each property case compares a fresh workspace's first call (staged)
+//! with the same workspace's second call (fused) and with the first call
+//! of a second fresh workspace.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use greuse::{
-    ExecWorkspace, PipelineMode, QuantWorkspace, RandomHashProvider, ReuseDirection, ReuseOrder,
-    ReusePattern, RowOrder,
+    ExecWorkspace, QuantWorkspace, RandomHashProvider, ReuseDirection, ReuseOrder, ReusePattern,
+    ReuseStats, RowOrder,
 };
 use greuse_tensor::{gemm_ref_f32, Tensor};
 
@@ -118,6 +119,28 @@ fn reference_output(x: &Tensor<f32>, w: &Tensor<f32>) -> Tensor<f32> {
     gemm_ref_f32(x, &wt).expect("reference gemm")
 }
 
+/// Requires `other`'s output bits and stats to equal the staged run's.
+fn check_identical(
+    staged: &(Vec<f32>, ReuseStats),
+    other: &(Vec<f32>, ReuseStats),
+    what: &str,
+    pattern: &ReusePattern,
+) -> Result<(), TestCaseError> {
+    for (i, (a, b)) in staged.0.iter().zip(&other.0).enumerate() {
+        prop_assert!(
+            a.to_bits() == b.to_bits(),
+            "y[{}] diverged: staged {} vs {} {} under {}",
+            i,
+            a,
+            what,
+            b,
+            pattern
+        );
+    }
+    prop_assert_eq!(staged.1, other.1);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -132,38 +155,20 @@ proptest! {
         let w = Tensor::from_fn(&[m, k], |_| rng.gen_range(-1.0f32..1.0));
         let hashes = RandomHashProvider::new(seed ^ 2);
 
-        let mut staged = ExecWorkspace::new();
-        staged.set_pipeline(PipelineMode::Staged);
-        let mut fused = ExecWorkspace::new();
-        prop_assert_eq!(fused.pipeline(), PipelineMode::Fused); // the default
-
-        let mut ys = vec![0.0f32; n * m];
-        let mut yf = vec![0.0f32; n * m];
-        let mut stats_s = None;
-        let mut stats_f = None;
-        // Two calls each: the fused sweep engages on the second call,
-        // once the hash families are cached. Both calls must agree.
-        for _ in 0..2 {
-            stats_s = Some(
-                staged
-                    .execute_into(&x, &w, None, &pattern, &hashes, "prop", &mut ys)
-                    .unwrap(),
-            );
-            stats_f = Some(
-                fused
-                    .execute_into(&x, &w, None, &pattern, &hashes, "prop", &mut yf)
-                    .unwrap(),
-            );
-            for (i, (a, b)) in ys.iter().zip(&yf).enumerate() {
-                prop_assert!(
-                    a.to_bits() == b.to_bits(),
-                    "y[{}] diverged: staged {} vs fused {} under {}",
-                    i, a, b, pattern
-                );
-            }
-            prop_assert_eq!(stats_s.as_ref(), stats_f.as_ref());
+        let run = |ws: &mut ExecWorkspace| {
+            let mut y = vec![0.0f32; n * m];
+            let stats = ws
+                .execute_into(&x, &w, None, &pattern, &hashes, "prop", &mut y)
+                .unwrap();
+            (y, stats)
+        };
+        let mut ws = ExecWorkspace::new();
+        let staged = run(&mut ws);
+        let fused = run(&mut ws);
+        let fresh = run(&mut ExecWorkspace::new());
+        for (what, other) in [("fused", &fused), ("fresh staged", &fresh)] {
+            check_identical(&staged, other, what, &pattern)?;
         }
-        let _ = (stats_s, stats_f);
     }
 
     #[test]
@@ -185,31 +190,22 @@ proptest! {
         let w = Tensor::from_fn(&[m, k], |_| rng.gen_range(-1.0f32..1.0));
         let hashes = RandomHashProvider::new(seed ^ 4);
 
-        let mut staged = QuantWorkspace::new();
-        staged.set_pipeline(PipelineMode::Staged);
+        let run = |ws: &mut QuantWorkspace| {
+            let mut y = vec![0.0f32; n * m];
+            let stats = ws
+                .execute_into(&x, &w, Some(&pattern), &hashes, "prop", &mut y)
+                .unwrap();
+            (y, stats)
+        };
         let mut fused = QuantWorkspace::new();
-        prop_assert_eq!(fused.pipeline(), PipelineMode::Fused);
-
-        let mut ys = vec![0.0f32; n * m];
-        let mut yf = vec![0.0f32; n * m];
-        for _ in 0..2 {
-            let stats_s = staged
-                .execute_into(&x, &w, Some(&pattern), &hashes, "prop", &mut ys)
-                .unwrap();
-            let stats_f = fused
-                .execute_into(&x, &w, Some(&pattern), &hashes, "prop", &mut yf)
-                .unwrap();
-            // The fused sweep dequantizes with the exact expression the
-            // staged clusterer uses, so the int8 path is bit-identical
-            // too, not merely tolerance-close.
-            for (i, (a, bq)) in ys.iter().zip(&yf).enumerate() {
-                prop_assert!(
-                    a.to_bits() == bq.to_bits(),
-                    "y[{}] diverged: staged {} vs fused {} under {}",
-                    i, a, bq, pattern
-                );
-            }
-            prop_assert_eq!(stats_s, stats_f);
+        let staged = run(&mut fused);
+        let fused_run = run(&mut fused);
+        let fresh = run(&mut QuantWorkspace::new());
+        // The fused sweep dequantizes with the exact expression the staged
+        // clusterer uses, so the int8 path is bit-identical too, not
+        // merely tolerance-close.
+        for (what, other) in [("fused", &fused_run), ("fresh staged", &fresh)] {
+            check_identical(&staged, other, what, &pattern)?;
         }
 
         // And the fused path stays within the documented quantization

@@ -6,8 +6,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use greuse::{
-    accuracy_bound, column_permutation, execute_reuse, execute_reuse_images, execute_reuse_named,
-    measured_error, pareto_front, row_permutation, GuardConfig, PatternOps, RandomHashProvider,
+    accuracy_bound, column_permutation, execute_reuse, execute_reuse_images, measured_error,
+    pareto_front, row_permutation, ExecWorkspace, GuardConfig, PatternOps, RandomHashProvider,
     ReuseBackend, ReuseDirection, ReuseOrder, ReusePattern, ReuseStats, RowOrder,
 };
 use greuse_nn::ConvBackend;
@@ -178,7 +178,9 @@ proptest! {
         for (x, y) in xs.iter().zip(&ys) {
             // Same layer name as the batch path, so the per-panel hash
             // families (and therefore the clustering) are identical.
-            let single = execute_reuse_named(x, &w, &pattern, &hashes, "batch").unwrap();
+            let single = ExecWorkspace::new()
+                .execute(x, &w, None, &pattern, &hashes, "batch")
+                .unwrap();
             prop_assert_eq!(&single.y, y);
             folded.merge(&single.stats);
         }

@@ -204,15 +204,19 @@ proptest! {
     }
 }
 
-/// Never-commit-under-fault: with a degenerate-clustering fault firing
-/// on every hash call, the f32 executor must keep every clustering out
-/// of the cache (no probe can ever hit poisoned state), outputs must
-/// stay bitwise identical to the cache-disabled run under the same
-/// fault schedule, and once the fault clears the cache must resume
-/// hitting from fresh, healthy state.
+/// The outputs and summed stats of one executor driven over a stream.
 #[cfg(feature = "fault-inject")]
-#[test]
-fn faulted_clusterings_are_never_committed() {
+type Drive =
+    fn(&[Tensor<f32>], &Tensor<f32>, &ReusePattern, bool) -> (Vec<Vec<f32>>, greuse::ReuseStats);
+
+/// Never-commit-under-fault: with a degenerate-clustering fault firing
+/// on every hash call, the executor `drive` runs must keep every
+/// clustering out of the cache (no probe can ever hit poisoned state),
+/// outputs must stay bitwise identical to the cache-disabled run under
+/// the same fault schedule, and once the fault clears the cache must
+/// resume hitting from fresh, healthy state.
+#[cfg(feature = "fault-inject")]
+fn assert_never_commits_under_fault(drive: Drive, what: &str) {
     use greuse::faults::{self, FaultAction, FaultPlan, FaultPoint};
 
     let _l = lock();
@@ -227,23 +231,42 @@ fn faulted_clusterings_are_never_committed() {
         faults::install(
             FaultPlan::new().inject(FaultPoint::LshHash, FaultAction::DegenerateClusters),
         );
-        let out = drive_f32(&xs, &w, &pattern, cache);
+        let out = drive(&xs, &w, &pattern, cache);
         faults::clear();
         out
     };
     let (warm, warm_stats) = drive_faulted(true);
     let (cold, _) = drive_faulted(false);
-    assert_bitwise_eq(&warm, &cold, "f32 under degenerate-clustering fault");
+    assert_bitwise_eq(
+        &warm,
+        &cold,
+        &format!("{what} under degenerate-clustering fault"),
+    );
     assert_eq!(
         warm_stats.cache_hits, 0,
-        "a faulted clustering must never be stored, so nothing can hit"
+        "{what}: a faulted clustering must never be stored, so nothing can hit"
     );
 
     // Fault cleared: the same workspace pattern goes warm again from
     // healthy clusterings only.
-    let (_, healthy_stats) = drive_f32(&xs, &w, &pattern, true);
+    let (_, healthy_stats) = drive(&xs, &w, &pattern, true);
     assert!(
         healthy_stats.cache_hits > 0,
-        "cache must resume hitting once the fault is gone"
+        "{what}: cache must resume hitting once the fault is gone"
     );
+}
+
+#[cfg(feature = "fault-inject")]
+#[test]
+fn faulted_clusterings_are_never_committed() {
+    assert_never_commits_under_fault(drive_f32, "f32");
+}
+
+/// The int8 twin: the shared panel walk fires the same fault points and
+/// applies the same commit gate to `u8` codes (block height 1, so the
+/// fused path reads the codes in place).
+#[cfg(feature = "fault-inject")]
+#[test]
+fn faulted_int8_clusterings_are_never_committed() {
+    assert_never_commits_under_fault(drive_int8, "int8");
 }

@@ -315,32 +315,6 @@ pub fn cluster_rows(x: &Tensor<f32>, family: &HashFamily) -> Result<Clustering, 
     Ok(cluster_refined(&sigs, |r| x.row(r), tau))
 }
 
-/// Clusters the **rows** of a rank-2 tensor by signature equality alone —
-/// no scatter refinement. Co-bucketed vectors merge regardless of how far
-/// apart they lie, so centroid-substitution error is unbounded; use this
-/// only for *approximate* reuse paths (e.g. Winograd-domain tile reuse)
-/// whose consumers tolerate coarse merging, and [`cluster_rows`] wherever
-/// the output must track the dense result.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when `x` is not rank 2 or its
-/// width differs from `family.l()`.
-pub fn cluster_rows_unrefined(
-    x: &Tensor<f32>,
-    family: &HashFamily,
-) -> Result<Clustering, TensorError> {
-    if x.shape().rank() != 2 || x.cols() != family.l() {
-        return Err(TensorError::ShapeMismatch {
-            op: "cluster_rows_unrefined",
-            expected: vec![family.l()],
-            actual: x.shape().dims().to_vec(),
-        });
-    }
-    let sigs = family.hash_rows(x)?;
-    Ok(Clustering::from_signatures(&sigs))
-}
-
 /// Reusable state for refined clustering without per-call allocation.
 ///
 /// [`cluster_rows`] allocates signature and member vectors on every call;

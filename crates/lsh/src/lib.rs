@@ -46,8 +46,8 @@ mod fused;
 mod pca;
 
 pub use cluster::{
-    cluster_rows, cluster_rows_unrefined, cluster_vectors, refine_threshold, ClusterScratch,
-    Clustering, SigBuildHasher, SigHasher,
+    cluster_rows, cluster_vectors, refine_threshold, ClusterScratch, Clustering, SigBuildHasher,
+    SigHasher,
 };
 pub use family::{signatures_match, HashFamily, SigScratch, Signature};
 pub use fused::FusedPanelSource;

@@ -16,7 +16,6 @@ mod conv;
 mod fc;
 mod pool;
 mod rnn;
-mod winograd;
 
 pub use activation::Relu;
 pub use batchnorm::BatchNorm2d;
@@ -24,4 +23,3 @@ pub use conv::Conv2d;
 pub use fc::Linear;
 pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use rnn::ElmanRnn;
-pub use winograd::{to_winograd_domain, winograd_conv2d, WinogradDomain};

@@ -1,20 +1,18 @@
 //! Integration: the extension features working together — deployment
-//! plans, global selection, adaptive dispatch, Winograd reuse, and 8-bit
-//! inference on a trained model.
+//! plans, global selection, adaptive dispatch, and 8-bit inference on a
+//! trained model.
 
 use greuse::{
-    redundancy_probe, winograd_reuse_conv2d,
     workflow::{select_patterns_global, WorkflowConfig},
-    AdaptedHashProvider, AdaptiveBackend, AdaptivePolicy, DeploymentPlan, RandomHashProvider,
-    ReusePattern, Scope,
+    AdaptedHashProvider, AdaptiveBackend, AdaptivePolicy, DeploymentPlan, ReusePattern, Scope,
 };
 use greuse_data::SyntheticDataset;
 use greuse_mcu::Board;
 use greuse_nn::{
-    evaluate_accuracy, evaluate_dense, layers::winograd_conv2d, models::CifarNet,
-    Q7InferenceBackend, StateDict, Trainer, TrainerConfig,
+    evaluate_accuracy, evaluate_dense, models::CifarNet, Q7InferenceBackend, StateDict, Trainer,
+    TrainerConfig,
 };
-use greuse_tensor::{im2col, ConvSpec, Tensor};
+use greuse_tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -130,37 +128,4 @@ fn q7_inference_close_to_f32_on_trained_model() {
         q7 >= dense - 0.1,
         "full 8-bit arithmetic lost too much: {q7} vs {dense}"
     );
-}
-
-#[test]
-fn winograd_reuse_matches_gemm_conv_on_camera_tiles() {
-    // Winograd reuse applied to a real synthetic camera frame: output
-    // should track the exact convolution within the approximation budget
-    // while finding redundancy.
-    let img = SyntheticDataset::cifar_like(5).generate(1, 7).remove(0).0;
-    let spec = ConvSpec::new(3, 8, 3, 3).with_padding(1);
-    let mut rng = SmallRng::seed_from_u64(11);
-    let weights = Tensor::from_fn(&[8, 27], |_| {
-        use rand::Rng;
-        rng.gen_range(-0.5f32..0.5)
-    });
-    let hashes = RandomHashProvider::new(13);
-    let out = winograd_reuse_conv2d(&img, &weights, &spec, 16, &hashes).expect("wino reuse");
-    let exact = winograd_conv2d(&img, &weights, &spec).expect("wino dense");
-    let mut err = 0.0f64;
-    let mut norm = 0.0f64;
-    for (a, b) in out.y.as_slice().iter().zip(exact.as_slice()) {
-        err += f64::from(a - b).powi(2);
-        norm += f64::from(*b).powi(2);
-    }
-    let rel = (err / norm.max(1e-12)).sqrt();
-    assert!(rel < 0.5, "relative error {rel}");
-    assert!(
-        out.stats.redundancy_ratio > 0.2,
-        "r_t {}",
-        out.stats.redundancy_ratio
-    );
-    // The im2col probe agrees that the frame is redundant.
-    let x = im2col(&img, &spec).expect("im2col");
-    assert!(redundancy_probe(&x) > 0.1);
 }
