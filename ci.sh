@@ -13,6 +13,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test -q --workspace
 
+# perfbench (the whole-network benchmark) is a package of its own, outside
+# the workspace, so the steps above never build it: an API change that
+# breaks the benchmark would otherwise pass. Its self-tests also check
+# that its timing wrapper is bit-transparent on the f32 and int8 backends.
+echo "==> perfbench build + self-tests"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # The Pareto front is the pruning primitive every selection result and
 # the whole-network gate sit on; run its property suite explicitly so a
 # failure is attributed to the invariant, not buried in the workspace run.

@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 use greuse_nn::{ConvBackend, DenseBackend};
 use greuse_tensor::{ConvSpec, Tensor, TensorError};
 
+use crate::backend::{boundary_error, WorkspacePool};
 use crate::exec::ExecWorkspace;
 use crate::hash_provider::HashProvider;
 use crate::pattern::ReusePattern;
@@ -92,11 +93,14 @@ impl AdaptivePolicy {
 }
 
 /// A backend that probes each input and dispatches per the policy.
-/// Layers without a policy run dense.
+/// Layers without a policy run dense. Reuse calls run on workspaces
+/// checked out of a pool, as in [`crate::ReuseBackend`], so a layer's
+/// hash families stay resident while its chosen pattern does not change.
 pub struct AdaptiveBackend<P: HashProvider> {
     policies: std::collections::HashMap<String, AdaptivePolicy>,
     hashes: P,
     decisions: Mutex<Vec<(String, PolicyChoice, f64)>>,
+    workspaces: WorkspacePool<ExecWorkspace>,
 }
 
 impl<P: HashProvider> AdaptiveBackend<P> {
@@ -106,6 +110,7 @@ impl<P: HashProvider> AdaptiveBackend<P> {
             policies: std::collections::HashMap::new(),
             hashes,
             decisions: Mutex::new(Vec::new()),
+            workspaces: WorkspacePool::default(),
         }
     }
 
@@ -142,17 +147,10 @@ impl<P: HashProvider> ConvBackend for AdaptiveBackend<P> {
             PolicyChoice::Aggressive => policy.aggressive,
             PolicyChoice::Conservative => policy.conservative,
         };
-        ExecWorkspace::new()
-            .execute(x, weights, Some(spec), &pattern, &self.hashes, layer)
+        self.workspaces
+            .with(|ws| ws.execute(x, weights, Some(spec), &pattern, &self.hashes, layer))
             .map(|out| out.y)
-            .map_err(|e| match e {
-                crate::GreuseError::Tensor(t) => t,
-                other => TensorError::ShapeMismatch {
-                    op: "adaptive backend",
-                    expected: vec![],
-                    actual: vec![other.to_string().len()],
-                },
-            })
+            .map_err(boundary_error)
     }
 }
 
@@ -244,5 +242,56 @@ mod tests {
             .conv_gemm("other", &spec, &flat_matrix(16, 8), &w)
             .unwrap();
         assert_eq!(backend.decisions().len(), 2);
+    }
+
+    #[test]
+    fn executor_errors_keep_their_message() {
+        let policy = AdaptivePolicy {
+            aggressive: ReusePattern::conventional(8, 2),
+            conservative: ReusePattern::conventional(8, 8),
+            aggressive_above: 0.9,
+            dense_below: 0.2,
+        };
+        let backend = AdaptiveBackend::new(RandomHashProvider::new(3)).with_policy("c", policy);
+        let spec = ConvSpec::new(1, 4, 2, 4);
+        // Weights one column short of the im2col width: the executor
+        // rejects the operands with a pattern error, not a tensor error.
+        let err = backend
+            .conv_gemm("c", &spec, &flat_matrix(16, 8), &noisy_matrix(4, 7, 9))
+            .unwrap_err();
+        assert!(matches!(err, TensorError::InvalidInput { .. }), "{err}");
+        assert!(
+            err.to_string().contains("incompatible with im2col width 8"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn pooled_workspace_repeats_bit_identically() {
+        // The second call of a layer runs the fused pipeline on the
+        // pooled workspace; it must equal the first (staged) call.
+        let policy = AdaptivePolicy {
+            aggressive: ReusePattern::conventional(8, 2),
+            conservative: ReusePattern::conventional(8, 8),
+            aggressive_above: 0.9,
+            dense_below: 0.2,
+        };
+        let backend = AdaptiveBackend::new(RandomHashProvider::new(4)).with_policy("c", policy);
+        let spec = ConvSpec::new(1, 4, 2, 4);
+        let (x, w) = (flat_matrix(16, 8), noisy_matrix(4, 8, 9));
+        let first = backend.conv_gemm("c", &spec, &x, &w).unwrap();
+        let second = backend.conv_gemm("c", &spec, &x, &w).unwrap();
+        let fresh = ExecWorkspace::new()
+            .execute(
+                &x,
+                &w,
+                Some(&spec),
+                &policy.aggressive,
+                &RandomHashProvider::new(4),
+                "c",
+            )
+            .unwrap();
+        assert_eq!(first, fresh.y);
+        assert_eq!(second, fresh.y);
     }
 }

@@ -1,20 +1,46 @@
-//! [`ReuseBackend`]: plugs per-layer reuse patterns into any `greuse-nn`
-//! network by implementing its [`ConvBackend`] seam. Layers without an
-//! assigned pattern run dense, so partial deployments (e.g. "reuse only
-//! on conv2") are expressed naturally.
+//! [`GuardedBackend`]: plugs per-layer reuse patterns into any
+//! `greuse-nn` network by implementing its [`ConvBackend`] seam, over
+//! either executor: [`ReuseBackend`] runs the f32 [`ExecWorkspace`],
+//! [`QuantizedBackend`] the int8 [`QuantWorkspace`]. Both are the same
+//! type, so the policy around the executor is written once: the pattern
+//! table, the atomic statistics, the telemetry tags, the workspace pool
+//! and the guard sequence (validate and sanitize, the accuracy-bound
+//! ceiling, run, the break-even fallback, record).
+//!
+//! Layers without an assigned pattern run dense, so partial deployments
+//! (e.g. "reuse only on conv2") are expressed naturally: f32 through
+//! [`DenseBackend`] with no workspace checkout, int8 through the
+//! dense-quantized GEMM of a pooled workspace (whose resident entry holds
+//! the layer's weight codes). A guard fallback recomputes the call the
+//! same dense way, so its output is bit-identical to the unpatterned
+//! layer's on either element type.
 //!
 //! The backend is built for concurrent inference: statistics live in
 //! per-layer **atomic accumulators** (one fixed slot per patterned layer,
 //! created at build time — no lock, no map mutation on the hot path).
-//! Executor state comes from a pool of [`ExecWorkspace`]s, which serves
-//! two purposes. Parallel callers each check out their own workspace, so
+//! Executor state comes from a pool of workspaces, which serves two
+//! purposes. Parallel callers each check out their own workspace, so
 //! they never contend on one scratch arena. And each workspace keeps one
-//! resident entry per patterned layer (permutations, hash families,
-//! histogram handles) next to one shared scratch arena, so a
+//! resident entry per layer (permutations or weight codes, hash
+//! families, histogram handles) next to one shared scratch arena, so a
 //! single-threaded network forward — which checks the same workspace out
 //! for every layer in turn — selects each layer's prepared state instead
 //! of rebuilding it, and runs the fused pipeline from the second image on.
+//!
+//! One guard sequence serves both element types, so for either:
+//!
+//! * [`GuardedBackend::stats`] lists a layer once it has run *or* fallen
+//!   back (an accuracy-bound fallback skips the executor, `calls == 0`);
+//! * [`LayerStats::wall_ns`] times the reuse executor only, never the
+//!   dense recompute of a fallback, and a fallback call records the
+//!   counts of the reuse attempt whose `r_t` triggered it;
+//! * [`GuardConfig::max_error_bound`], the `Im2col` fault point and
+//!   [`GuardedBackend::layer_probe`] apply;
+//! * guard rejections are [`TensorError::InvalidInput`]. Executor errors
+//!   keep their element's variant: `InvalidInput` for f32,
+//!   [`TensorError::InvalidQuantization`] for int8.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
@@ -25,23 +51,18 @@ use serde::{Deserialize, Serialize};
 use greuse_mcu::PhaseOps;
 use greuse_nn::{ConvBackend, DenseBackend};
 use greuse_telemetry::Counter;
-use greuse_tensor::{gemm_bt_f32_into_with, ConvSpec, Tensor, TensorError};
+use greuse_tensor::{ConvSpec, Tensor, TensorError};
 
-use crate::exec::{ExecWorkspace, ReuseStats};
+use crate::exec::{ExecWorkspace, LayerExecutor, QuantWorkspace, ReuseStats};
 use crate::guard::{
     apply_non_finite_policy, should_fall_back, validate_gemm_operands, FallbackReason, GuardConfig,
 };
 use crate::hash_provider::HashProvider;
 use crate::pattern::ReusePattern;
 
-/// Counts every guarded dense fallback across all backends (f32 and
-/// int8) on the `exec.fallback` telemetry counter.
+/// Counts every guarded dense fallback (f32 and int8) on the
+/// `exec.fallback` telemetry counter.
 static FALLBACKS: Counter = Counter::new("exec.fallback");
-
-/// Records one dense fallback on the shared telemetry counter.
-pub(crate) fn count_fallback() {
-    FALLBACKS.add(1);
-}
 
 /// Maps runtime errors onto the tensor-level seam of [`ConvBackend`]:
 /// tensor causes pass through unchanged, everything else becomes a typed
@@ -114,7 +135,7 @@ impl LayerStats {
 /// every count is a plain sum, and snapshots are taken between inference
 /// runs (the backend never promises a mid-call-consistent snapshot).
 #[derive(Debug, Default)]
-pub(crate) struct AtomicLayerStats {
+struct AtomicLayerStats {
     calls: AtomicU64,
     transform_elems: AtomicU64,
     clustering_macs: AtomicU64,
@@ -131,11 +152,11 @@ pub(crate) struct AtomicLayerStats {
     /// `f64::to_bits` of the layer's input redundancy probe, captured on
     /// the layer's first reuse call; zero while unset (the probe is
     /// strictly positive, so zero is unambiguous).
-    pub(crate) probe_bits: AtomicU64,
+    probe_bits: AtomicU64,
 }
 
 impl AtomicLayerStats {
-    pub(crate) fn record(&self, s: &ReuseStats, wall_ns: u64) {
+    fn record(&self, s: &ReuseStats, wall_ns: u64) {
         self.calls.fetch_add(1, Ordering::Relaxed);
         self.wall_ns.fetch_add(wall_ns, Ordering::Relaxed);
         self.transform_elems
@@ -151,12 +172,12 @@ impl AtomicLayerStats {
         self.n_clusters.fetch_add(s.n_clusters, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_fallback(&self, reason: FallbackReason) {
+    fn record_fallback(&self, reason: FallbackReason) {
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
         self.fallback_reason.store(reason as u32, Ordering::Relaxed);
         // Reason-labeled series next to the aggregate `exec.fallback`
         // counter, so dashboards can tell break-even demotions from
-        // accuracy-bound ones. Shared by the f32 and int8 backends.
+        // accuracy-bound ones.
         match reason {
             FallbackReason::LowRedundancy => {
                 greuse_telemetry::counter!(r#"guard.fallback{reason="low_rt"}"#).add(1);
@@ -167,11 +188,11 @@ impl AtomicLayerStats {
         }
     }
 
-    pub(crate) fn fallback_reason(&self) -> Option<FallbackReason> {
+    fn fallback_reason(&self) -> Option<FallbackReason> {
         FallbackReason::from_code(self.fallback_reason.load(Ordering::Relaxed))
     }
 
-    pub(crate) fn snapshot(&self) -> LayerStats {
+    fn snapshot(&self) -> LayerStats {
         LayerStats {
             calls: self.calls.load(Ordering::Relaxed),
             ops: PhaseOps {
@@ -188,7 +209,7 @@ impl AtomicLayerStats {
         }
     }
 
-    pub(crate) fn reset(&self) {
+    fn reset(&self) {
         self.calls.store(0, Ordering::Relaxed);
         self.transform_elems.store(0, Ordering::Relaxed);
         self.clustering_macs.store(0, Ordering::Relaxed);
@@ -206,29 +227,70 @@ impl AtomicLayerStats {
     }
 }
 
-/// A convolution backend that applies reuse patterns per layer.
-pub struct ReuseBackend<P: HashProvider> {
-    patterns: HashMap<String, ReusePattern>,
+/// A checkout pool of executor workspaces. Concurrent callers each take
+/// their own; a single-threaded caller gets the same warm workspace back
+/// on every call.
+pub(crate) struct WorkspacePool<W>(Mutex<Vec<W>>);
+
+impl<W> Default for WorkspacePool<W> {
+    fn default() -> Self {
+        WorkspacePool(Mutex::new(Vec::new()))
+    }
+}
+
+impl<W: Default> WorkspacePool<W> {
+    /// Runs `f` on a checked-out workspace and returns it to the pool.
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut W) -> R) -> R {
+        let mut ws = self.0.lock().pop().unwrap_or_default();
+        let out = f(&mut ws);
+        self.0.lock().push(ws);
+        out
+    }
+}
+
+/// A patterned layer: its pattern, telemetry tag and accumulator.
+#[derive(Debug)]
+struct PatternedLayer {
+    pattern: ReusePattern,
+    /// Telemetry tag (1-based, assignment order). Spans recorded while
+    /// the layer executes carry it, letting exporters attribute phase
+    /// time to layers.
+    tag: u32,
+    stats: AtomicLayerStats,
+}
+
+/// A convolution backend that applies reuse patterns per layer on the
+/// workspace type `W`, behind the resilience guard. Use it through its
+/// two instances, [`ReuseBackend`] (f32) and [`QuantizedBackend`]
+/// (int8); see the module docs.
+pub struct GuardedBackend<P: HashProvider, W = ExecWorkspace> {
+    layers: HashMap<String, PatternedLayer>,
     hashes: P,
-    stats: HashMap<String, AtomicLayerStats>,
-    /// Telemetry tag per patterned layer (1-based, assignment order).
-    /// Spans recorded while a layer executes carry its tag, letting
-    /// exporters attribute phase time to layers.
-    tags: HashMap<String, u32>,
-    workspaces: Mutex<Vec<ExecWorkspace>>,
+    workspaces: WorkspacePool<W>,
     guard: GuardConfig,
 }
 
-impl<P: HashProvider> ReuseBackend<P> {
+/// The f32 guarded backend: reuse on patterned layers, [`DenseBackend`]
+/// elsewhere.
+pub type ReuseBackend<P> = GuardedBackend<P, ExecWorkspace>;
+
+/// The int8 guarded backend: every convolution GEMM runs through the
+/// [`QuantWorkspace`] pipeline — activations quantized per call
+/// (asymmetric `u8`), weights per layer (symmetric `i8`, resident in the
+/// pooled workspace), `i32` accumulation, requantized back to `f32`.
+/// Patterned layers run the quantized reuse walk (LSH over dequantized
+/// neuron blocks, integer centroid folding, packed u8×i8 centroid GEMM);
+/// the others run one dense u8×i8 GEMM.
+pub type QuantizedBackend<P> = GuardedBackend<P, QuantWorkspace>;
+
+impl<P: HashProvider, W: LayerExecutor> GuardedBackend<P, W> {
     /// Creates a backend with no patterns assigned (all layers dense)
     /// and the guard disabled.
     pub fn new(hashes: P) -> Self {
-        ReuseBackend {
-            patterns: HashMap::new(),
+        GuardedBackend {
+            layers: HashMap::new(),
             hashes,
-            stats: HashMap::new(),
-            tags: HashMap::new(),
-            workspaces: Mutex::new(Vec::new()),
+            workspaces: WorkspacePool::default(),
             guard: GuardConfig::off(),
         }
     }
@@ -248,16 +310,25 @@ impl<P: HashProvider> ReuseBackend<P> {
 
     /// Why the layer last fell back to dense (`None` = never).
     pub fn layer_fallback_reason(&self, layer: &str) -> Option<FallbackReason> {
-        self.stats.get(layer)?.fallback_reason()
+        self.layers.get(layer)?.stats.fallback_reason()
     }
 
-    /// Assigns a pattern to a layer (builder style).
+    /// Assigns a pattern to a layer (builder style). Reassigning a layer
+    /// keeps its tag and statistics. The int8 executor runs
+    /// default-layout vertical patterns; it runs horizontal patterns
+    /// dense-quantized and rejects layout reorders at execution time.
     pub fn with_pattern(mut self, layer: impl Into<String>, pattern: ReusePattern) -> Self {
-        let layer = layer.into();
-        self.stats.entry(layer.clone()).or_default();
-        let next_tag = self.tags.len() as u32 + 1;
-        self.tags.entry(layer.clone()).or_insert(next_tag);
-        self.patterns.insert(layer, pattern);
+        let tag = self.layers.len() as u32 + 1;
+        match self.layers.entry(layer.into()) {
+            Entry::Occupied(mut e) => e.get_mut().pattern = pattern,
+            Entry::Vacant(e) => {
+                e.insert(PatternedLayer {
+                    pattern,
+                    tag,
+                    stats: AtomicLayerStats::default(),
+                });
+            }
+        }
         self
     }
 
@@ -275,16 +346,16 @@ impl<P: HashProvider> ReuseBackend<P> {
 
     /// The pattern assigned to a layer, if any.
     pub fn pattern(&self, layer: &str) -> Option<&ReusePattern> {
-        self.patterns.get(layer)
+        self.layers.get(layer).map(|l| &l.pattern)
     }
 
     /// Per-layer statistics accumulated so far (executed reuse layers
     /// only — a patterned layer that has not run yet is absent; a layer
     /// that only ever fell back to dense is present with `calls == 0`).
     pub fn stats(&self) -> HashMap<String, LayerStats> {
-        self.stats
+        self.layers
             .iter()
-            .map(|(layer, acc)| (layer.clone(), acc.snapshot()))
+            .map(|(layer, l)| (layer.clone(), l.stats.snapshot()))
             .filter(|(_, s)| s.calls > 0 || s.fallbacks > 0)
             .collect()
     }
@@ -292,16 +363,16 @@ impl<P: HashProvider> ReuseBackend<P> {
     /// Statistics of one layer (`None` until it has executed with reuse
     /// or fallen back at least once).
     pub fn layer_stats(&self, layer: &str) -> Option<LayerStats> {
-        self.stats
+        self.layers
             .get(layer)
-            .map(AtomicLayerStats::snapshot)
+            .map(|l| l.stats.snapshot())
             .filter(|s| s.calls > 0 || s.fallbacks > 0)
     }
 
     /// Clears accumulated statistics.
     pub fn reset_stats(&self) {
-        for acc in self.stats.values() {
-            acc.reset();
+        for l in self.layers.values() {
+            l.stats.reset();
         }
     }
 
@@ -312,7 +383,7 @@ impl<P: HashProvider> ReuseBackend<P> {
 
     /// The telemetry tag attached to a patterned layer's spans.
     pub fn layer_tag(&self, layer: &str) -> Option<u32> {
-        self.tags.get(layer).copied()
+        self.layers.get(layer).map(|l| l.tag)
     }
 
     /// The layer's input redundancy probe ([`crate::redundancy_probe`])
@@ -320,25 +391,32 @@ impl<P: HashProvider> ReuseBackend<P> {
     /// drift report compares against the measured ratio. `None` until the
     /// layer has executed with reuse.
     pub fn layer_probe(&self, layer: &str) -> Option<f64> {
-        let bits = self.stats.get(layer)?.probe_bits.load(Ordering::Relaxed);
+        let bits = self
+            .layers
+            .get(layer)?
+            .stats
+            .probe_bits
+            .load(Ordering::Relaxed);
         (bits != 0).then(|| f64::from_bits(bits))
     }
 
-    /// Runs the reuse executor for a patterned layer, writing into `y`.
+    /// Runs one call through the guard into `y`: `entry` is the layer's
+    /// pattern entry, `None` for an unpatterned layer that runs on the
+    /// workspace (int8 dense-quantized).
     ///
     /// With an active [`GuardConfig`] the operands are validated first
-    /// (typed errors instead of panics deep in the pipeline), and the
-    /// call is recomputed through the exact dense path — bit-identical to
-    /// [`DenseBackend`] — when the measured `r_t` does not clear the
-    /// latency-model break-even or the §4.1 error bound exceeds the
-    /// configured ceiling.
-    fn run_reuse(
+    /// (typed errors instead of panics deep in the pipeline), and a
+    /// patterned call is recomputed dense — bit-identical to the
+    /// unpatterned layer — when the §4.1 error bound exceeds the
+    /// configured ceiling or the measured `r_t` does not clear the
+    /// latency-model break-even.
+    fn run(
         &self,
         layer: &str,
+        entry: Option<&PatternedLayer>,
         spec: &ConvSpec,
         x: &Tensor<f32>,
         weights: &Tensor<f32>,
-        pattern: &ReusePattern,
         y: &mut [f32],
     ) -> Result<(), TensorError> {
         #[cfg(feature = "fault-inject")]
@@ -366,109 +444,104 @@ impl<P: HashProvider> ReuseBackend<P> {
                 .map_err(boundary_error)?;
         }
         let x = sanitized.as_ref().unwrap_or(x);
-
-        let mut ws = self.workspaces.lock().pop().unwrap_or_default();
-        let result = self.run_in(&mut ws, layer, spec, x, weights, pattern, y);
-        self.workspaces.lock().push(ws);
-        result
+        self.workspaces.with(|ws| match entry {
+            Some(entry) => self.run_patterned(ws, layer, entry, spec, x, weights, y),
+            None => self.run_dense(ws, layer, spec, x, weights, y),
+        })
     }
 
     /// The guarded reuse call on a checked-out workspace: the accuracy
-    /// bound check, the executor run, and either dense fallback (whose
-    /// GEMM borrows the workspace's pack buffers).
+    /// bound check, the executor run, the break-even fallback, and the
+    /// record.
     #[allow(clippy::too_many_arguments)]
-    fn run_in(
+    fn run_patterned(
         &self,
-        ws: &mut ExecWorkspace,
+        ws: &mut W,
         layer: &str,
+        entry: &PatternedLayer,
         spec: &ConvSpec,
         x: &Tensor<f32>,
         weights: &Tensor<f32>,
-        pattern: &ReusePattern,
         y: &mut [f32],
     ) -> Result<(), TensorError> {
-        if self.guard.fallback {
-            if let Some(ceiling) = self.guard.max_error_bound {
-                let est = crate::models::accuracy::accuracy_bound_with_spec(
-                    x,
-                    weights,
-                    spec,
-                    pattern,
-                    &self.hashes,
-                )
-                .map_err(boundary_error)?;
-                if est.error_bound > ceiling {
-                    return self.dense_fallback(
-                        ws,
-                        layer,
-                        x,
-                        weights,
-                        y,
-                        FallbackReason::AccuracyBound,
-                    );
-                }
+        let pattern = &entry.pattern;
+        if let (true, Some(ceiling)) = (self.guard.fallback, self.guard.max_error_bound) {
+            let est = crate::models::accuracy::accuracy_bound_with_spec(
+                x,
+                weights,
+                spec,
+                pattern,
+                &self.hashes,
+            )
+            .map_err(boundary_error)?;
+            if est.error_bound > ceiling {
+                self.run_dense(ws, layer, spec, x, weights, y)?;
+                record_fallback(entry, FallbackReason::AccuracyBound);
+                return Ok(());
             }
         }
 
-        let tag = self.tags.get(layer).copied().unwrap_or(0);
-        let prev_tag = greuse_telemetry::set_tag(tag);
+        let prev_tag = greuse_telemetry::set_tag(entry.tag);
         let started = Instant::now();
-        let result = ws.execute_into(x, weights, Some(spec), pattern, &self.hashes, layer, y);
+        let result = ws.run_layer(
+            x,
+            weights,
+            Some(spec),
+            Some(pattern),
+            &self.hashes,
+            layer,
+            y,
+        );
         let wall_ns = started.elapsed().as_nanos() as u64;
         greuse_telemetry::set_tag(prev_tag);
-        let stats = result.map_err(boundary_error)?;
-        if let Some(acc) = self.stats.get(layer) {
-            acc.record(&stats, wall_ns);
-            if acc.probe_bits.load(Ordering::Relaxed) == 0 {
-                let probe = crate::redundancy_probe(x);
-                acc.probe_bits.store(probe.to_bits(), Ordering::Relaxed);
-            }
-        }
+        let stats = result.map_err(W::tensor_error)?;
+
         let below_breakeven = if self.guard.fused_breakeven {
             crate::guard::should_fall_back_fused(pattern, weights.rows(), stats.redundancy_ratio)
         } else {
             should_fall_back(pattern, weights.rows(), stats.redundancy_ratio)
         };
         if self.guard.fallback && below_breakeven {
-            return self.dense_fallback(ws, layer, x, weights, y, FallbackReason::LowRedundancy);
+            self.run_dense(ws, layer, spec, x, weights, y)?;
+            record_fallback(entry, FallbackReason::LowRedundancy);
+        }
+        entry.stats.record(&stats, wall_ns);
+        if entry.stats.probe_bits.load(Ordering::Relaxed) == 0 {
+            let probe = crate::redundancy_probe(x);
+            entry
+                .stats
+                .probe_bits
+                .store(probe.to_bits(), Ordering::Relaxed);
         }
         Ok(())
     }
 
-    /// Recomputes the call through the exact dense GEMM (the same packed
-    /// `X × Wᵀ` kernel that [`DenseBackend`] runs, bit for bit) straight
-    /// into `y`, overwriting the reuse output, and records the fallback
-    /// on the `exec.fallback` counter and the layer's accumulator. The
-    /// pack buffers come from the layer's workspace, so a fallback
-    /// allocates nothing.
-    fn dense_fallback(
+    /// The dense run straight into `y`: the exact packed `X × Wᵀ` that
+    /// [`DenseBackend`] runs (f32) or the dense-quantized GEMM (int8),
+    /// borrowing the workspace's buffers, so it allocates nothing.
+    fn run_dense(
         &self,
-        ws: &mut ExecWorkspace,
+        ws: &mut W,
         layer: &str,
+        spec: &ConvSpec,
         x: &Tensor<f32>,
         weights: &Tensor<f32>,
         y: &mut [f32],
-        reason: FallbackReason,
     ) -> Result<(), TensorError> {
-        let (n, k, m) = (x.rows(), x.cols(), weights.rows());
-        gemm_bt_f32_into_with(
-            x.as_slice(),
-            weights.as_slice(),
-            y,
-            n,
-            k,
-            m,
-            ws.gemm_scratch(),
-        )?;
-        count_fallback();
-        if let Some(acc) = self.stats.get(layer) {
-            acc.record_fallback(reason);
-        }
-        Ok(())
+        ws.run_layer(x, weights, Some(spec), None, &self.hashes, layer, y)
+            .map(drop)
+            .map_err(W::tensor_error)
     }
 }
 
-impl<P: HashProvider> ConvBackend for ReuseBackend<P> {
+/// Records one dense fallback on the `exec.fallback` counter and the
+/// layer's accumulator.
+fn record_fallback(entry: &PatternedLayer, reason: FallbackReason) {
+    FALLBACKS.add(1);
+    entry.stats.record_fallback(reason);
+}
+
+impl<P: HashProvider, W: LayerExecutor> ConvBackend for GuardedBackend<P, W> {
     fn conv_gemm(
         &self,
         layer: &str,
@@ -476,14 +549,13 @@ impl<P: HashProvider> ConvBackend for ReuseBackend<P> {
         x: &Tensor<f32>,
         weights: &Tensor<f32>,
     ) -> Result<Tensor<f32>, TensorError> {
-        match self.patterns.get(layer) {
-            None => DenseBackend.conv_gemm(layer, spec, x, weights),
-            Some(pattern) => {
-                let mut y = Tensor::zeros(&[x.rows(), weights.rows()]);
-                self.run_reuse(layer, spec, x, weights, pattern, y.as_mut_slice())?;
-                Ok(y)
-            }
+        let entry = self.layers.get(layer);
+        if entry.is_none() && !W::DENSE_IN_WORKSPACE {
+            return DenseBackend.conv_gemm(layer, spec, x, weights);
         }
+        let mut y = Tensor::zeros(&[x.rows(), weights.rows()]);
+        self.run(layer, entry, spec, x, weights, y.as_mut_slice())?;
+        Ok(y)
     }
 
     fn conv_gemm_into(
@@ -494,30 +566,81 @@ impl<P: HashProvider> ConvBackend for ReuseBackend<P> {
         weights: &Tensor<f32>,
         y: &mut Tensor<f32>,
     ) -> Result<(), TensorError> {
-        match self.patterns.get(layer) {
-            None => DenseBackend.conv_gemm_into(layer, spec, x, weights, y),
-            Some(pattern) => {
-                let (n, m) = (x.rows(), weights.rows());
-                if y.shape().dims() != [n, m] {
-                    return Err(TensorError::ShapeMismatch {
-                        op: "conv_gemm_into",
-                        expected: vec![n, m],
-                        actual: y.shape().dims().to_vec(),
-                    });
-                }
-                self.run_reuse(layer, spec, x, weights, pattern, y.as_mut_slice())
-            }
+        let entry = self.layers.get(layer);
+        if entry.is_none() && !W::DENSE_IN_WORKSPACE {
+            return DenseBackend.conv_gemm_into(layer, spec, x, weights, y);
         }
+        let (n, m) = (x.rows(), weights.rows());
+        if y.shape().dims() != [n, m] {
+            return Err(TensorError::ShapeMismatch {
+                op: "conv_gemm_into",
+                expected: vec![n, m],
+                actual: y.shape().dims().to_vec(),
+            });
+        }
+        self.run(layer, entry, spec, x, weights, y.as_mut_slice())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! Every scenario runs on both element types: each `#[test]` below
+    //! calls its generic scenario once with the f32 [`ExecWorkspace`] and
+    //! once with the int8 [`QuantWorkspace`]; [`Flavor`] holds what the
+    //! two are expected to differ in.
     use super::*;
     use crate::hash_provider::RandomHashProvider;
     use greuse_nn::{models::CifarNet, Network};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// Per-element expectations against the exact f32 dense network.
+    trait Flavor: LayerExecutor + 'static {
+        /// Bound on `|logit − f32 dense logit|` as a fraction of the
+        /// output scale with no pattern; `None` = bit-identical.
+        const DENSE_TOL: Option<f32>;
+        /// The same bound with conv1 under a high-`H` pattern.
+        const PATTERN_TOL: f32;
+    }
+
+    impl Flavor for ExecWorkspace {
+        const DENSE_TOL: Option<f32> = None;
+        const PATTERN_TOL: f32 = 0.05;
+    }
+
+    impl Flavor for QuantWorkspace {
+        // int8 conv layers drift from f32, but logits must stay close on
+        // the scale of the output.
+        const DENSE_TOL: Option<f32> = Some(0.15);
+        const PATTERN_TOL: f32 = 0.2;
+    }
+
+    /// Declares each test as its scenario run on both element types.
+    macro_rules! on_both {
+        ($($test:ident => $scenario:ident),* $(,)?) => {$(
+            #[test]
+            fn $test() {
+                $scenario::<ExecWorkspace>();
+                $scenario::<QuantWorkspace>();
+            }
+        )*};
+    }
+
+    on_both! {
+        no_patterns_matches_dense_exactly => no_patterns,
+        high_h_pattern_close_to_dense => high_h_pattern,
+        stats_accumulate_and_reset => stats_accumulate_and_reset_on,
+        with_patterns_bulk => patterns_bulk,
+        concurrent_inference_sums_stats_exactly => concurrent_inference,
+        guarded_low_rt_layer_falls_back_to_exact_dense => low_rt_fallback,
+        accuracy_bound_ceiling_forces_pre_exec_fallback => accuracy_bound_fallback,
+        strict_guard_rejects_and_sanitize_recovers_non_finite => non_finite_policies,
+        guard_rejects_mismatched_operands_with_typed_error => mismatched_operands,
+    }
+
+    fn fresh<W: Flavor>(seed: u64) -> GuardedBackend<RandomHashProvider, W> {
+        GuardedBackend::new(RandomHashProvider::new(seed))
+    }
 
     fn net_and_image() -> (CifarNet, Tensor<f32>) {
         let mut rng = SmallRng::seed_from_u64(0);
@@ -526,39 +649,44 @@ mod tests {
         (net, image)
     }
 
-    #[test]
-    fn no_patterns_matches_dense_exactly() {
+    fn assert_close(a: &[f32], b: &[f32], tol: f32) {
+        let scale = b.iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1.0);
+        for (x, y) in a.iter().zip(b) {
+            assert!((x - y).abs() < tol * scale, "{x} vs {y}");
+        }
+    }
+
+    fn no_patterns<W: Flavor>() {
         let (net, image) = net_and_image();
-        let backend = ReuseBackend::new(RandomHashProvider::new(1));
+        let backend = fresh::<W>(1);
         let a = net.forward(&image, &backend).unwrap();
         let b = net.forward(&image, &DenseBackend).unwrap();
-        assert_eq!(a, b);
+        match W::DENSE_TOL {
+            None => assert_eq!(a, b),
+            Some(tol) => assert_close(a.as_slice(), b.as_slice(), tol),
+        }
         assert!(backend.stats().is_empty());
     }
 
-    #[test]
-    fn high_h_pattern_close_to_dense() {
+    fn high_h_pattern<W: Flavor>() {
         let (net, image) = net_and_image();
-        let backend = ReuseBackend::new(RandomHashProvider::new(2))
-            .with_pattern("conv1", ReusePattern::conventional(25, 48));
+        let backend = fresh::<W>(2).with_pattern("conv1", ReusePattern::conventional(25, 48));
         let a = net.forward(&image, &backend).unwrap();
         let b = net.forward(&image, &DenseBackend).unwrap();
-        let scale = b.iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1.0);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x - y).abs() < 0.05 * scale, "{x} vs {y}");
-        }
+        assert_close(a.as_slice(), b.as_slice(), W::PATTERN_TOL);
         let stats = backend.layer_stats("conv1").unwrap();
         assert_eq!(stats.calls, 1);
         assert!(stats.n_vectors > 0);
+        assert_eq!(backend.layer_tag("conv1"), Some(1));
+        assert!(backend.layer_probe("conv1").is_some_and(|p| p > 0.0));
     }
 
-    #[test]
-    fn stats_accumulate_and_reset() {
+    fn stats_accumulate_and_reset_on<W: Flavor>() {
         let (net, image) = net_and_image();
-        let backend = ReuseBackend::new(RandomHashProvider::new(3))
-            .with_pattern("conv1", ReusePattern::conventional(15, 2));
-        let _ = net.forward(&image, &backend).unwrap();
-        let _ = net.forward(&image, &backend).unwrap();
+        let backend = fresh::<W>(3).with_pattern("conv1", ReusePattern::conventional(15, 2));
+        let a = net.forward(&image, &backend).unwrap();
+        let b = net.forward(&image, &backend).unwrap();
+        assert_eq!(a, b);
         let s = backend.layer_stats("conv1").unwrap();
         assert_eq!(s.calls, 2);
         assert!(s.redundancy_ratio() > 0.0);
@@ -569,9 +697,8 @@ mod tests {
         assert!(backend.layer_stats("conv1").is_none());
     }
 
-    #[test]
-    fn with_patterns_bulk() {
-        let backend = ReuseBackend::new(RandomHashProvider::new(4)).with_patterns([
+    fn patterns_bulk<W: Flavor>() {
+        let backend = fresh::<W>(4).with_patterns([
             ("conv1", ReusePattern::conventional(15, 2)),
             ("conv2", ReusePattern::conventional(20, 3)),
         ]);
@@ -580,14 +707,12 @@ mod tests {
         assert!(backend.pattern("conv3").is_none());
     }
 
-    #[test]
-    fn concurrent_inference_sums_stats_exactly() {
+    fn concurrent_inference<W: Flavor>() {
         // Four threads × three images each through one shared backend:
         // the atomic accumulators must count every call, and concurrent
         // workspace checkout must not corrupt outputs.
         let (net, image) = net_and_image();
-        let backend = ReuseBackend::new(RandomHashProvider::new(5))
-            .with_pattern("conv1", ReusePattern::conventional(15, 2));
+        let backend = fresh::<W>(5).with_pattern("conv1", ReusePattern::conventional(15, 2));
         let reference = net.forward(&image, &backend).unwrap();
         backend.reset_stats();
         crossbeam::scope(|s| {
@@ -621,39 +746,50 @@ mod tests {
         (spec, x, w)
     }
 
-    #[test]
-    fn guarded_low_rt_layer_falls_back_to_exact_dense() {
-        let (spec, x, w) = synthetic_gemm();
+    fn low_rt_fallback<W: Flavor>() {
         // H = 64 = D_out puts the break-even at r_t = 1.0, which no input
-        // can clear: the guard must recompute densely on every call.
-        let backend = ReuseBackend::new(RandomHashProvider::new(7))
-            .with_pattern("conv1", ReusePattern::conventional(25, 64))
-            .with_guard(GuardConfig::strict());
-        let y = backend.conv_gemm("conv1", &spec, &x, &w).unwrap();
-        let dense = DenseBackend.conv_gemm("conv1", &spec, &x, &w).unwrap();
+        // can clear: the guard must recompute densely on every call,
+        // bit-identical to the unpatterned layer (DenseBackend for f32,
+        // the dense-quantized GEMM for int8).
+        let (spec, x, w) = synthetic_gemm();
+        let guarded = || {
+            fresh::<W>(7)
+                .with_pattern("conv1", ReusePattern::conventional(25, 64))
+                .with_guard(GuardConfig::strict())
+        };
+        let plain = fresh::<W>(7);
+        let b = guarded();
+        let y = b.conv_gemm("conv1", &spec, &x, &w).unwrap();
+        let dense = plain.conv_gemm("conv1", &spec, &x, &w).unwrap();
         assert_eq!(y, dense); // bit-identical, not just close
-        let s = backend.layer_stats("conv1").unwrap();
-        assert_eq!(s.fallbacks, 1);
+        assert_eq!(b.layer_stats("conv1").unwrap().fallbacks, 1);
         assert_eq!(
-            backend.layer_fallback_reason("conv1"),
+            b.layer_fallback_reason("conv1"),
             Some(FallbackReason::LowRedundancy)
         );
+        // The same through a whole network forward (fresh backends: an
+        // int8 workspace keeps the codes of the weights it saw first for
+        // each layer name and shape).
+        let (net, image) = net_and_image();
+        let b = guarded();
+        let a = net.forward(&image, &b).unwrap();
+        assert_eq!(a, net.forward(&image, &fresh::<W>(7)).unwrap());
+        let s = b.layer_stats("conv1").unwrap();
+        assert!(s.fallbacks >= 1, "fallbacks = {}", s.fallbacks);
         // Without the guard the same pattern must NOT fall back.
-        let unguarded = ReuseBackend::new(RandomHashProvider::new(7))
-            .with_pattern("conv1", ReusePattern::conventional(25, 64));
+        let unguarded = fresh::<W>(7).with_pattern("conv1", ReusePattern::conventional(25, 64));
         let _ = unguarded.conv_gemm("conv1", &spec, &x, &w).unwrap();
         assert_eq!(unguarded.layer_stats("conv1").unwrap().fallbacks, 0);
         assert_eq!(unguarded.layer_fallback_reason("conv1"), None);
     }
 
-    #[test]
-    fn accuracy_bound_ceiling_forces_pre_exec_fallback() {
+    fn accuracy_bound_fallback<W: Flavor>() {
         let (spec, x, w) = synthetic_gemm();
-        let backend = ReuseBackend::new(RandomHashProvider::new(8))
+        let backend = fresh::<W>(8)
             .with_pattern("conv1", ReusePattern::conventional(25, 8))
             .with_guard(GuardConfig::strict().with_max_error_bound(0.0));
         let y = backend.conv_gemm("conv1", &spec, &x, &w).unwrap();
-        let dense = DenseBackend.conv_gemm("conv1", &spec, &x, &w).unwrap();
+        let dense = fresh::<W>(8).conv_gemm("conv1", &spec, &x, &w).unwrap();
         assert_eq!(y, dense);
         let s = backend.layer_stats("conv1").unwrap();
         assert_eq!(s.calls, 0, "bound breach must skip the reuse executor");
@@ -664,29 +800,27 @@ mod tests {
         );
     }
 
-    #[test]
-    fn strict_guard_rejects_and_sanitize_recovers_non_finite() {
+    fn non_finite_policies<W: Flavor>() {
         let (spec, mut x, w) = synthetic_gemm();
         x.as_mut_slice()[10] = f32::NAN;
         x.as_mut_slice()[500] = f32::INFINITY;
-        let strict = ReuseBackend::new(RandomHashProvider::new(9))
+        let strict = fresh::<W>(9)
             .with_pattern("conv1", ReusePattern::conventional(15, 2))
             .with_guard(GuardConfig::strict());
         let err = strict.conv_gemm("conv1", &spec, &x, &w).unwrap_err();
         assert!(matches!(err, TensorError::InvalidInput { .. }), "{err}");
         assert!(err.to_string().contains("non-finite"), "{err}");
-        let sane = ReuseBackend::new(RandomHashProvider::new(9))
+        let sane = fresh::<W>(9)
             .with_pattern("conv1", ReusePattern::conventional(15, 2))
             .with_guard(GuardConfig::sanitize());
         let y = sane.conv_gemm("conv1", &spec, &x, &w).unwrap();
         assert!(y.as_slice().iter().all(|v| v.is_finite()));
     }
 
-    #[test]
-    fn guard_rejects_mismatched_operands_with_typed_error() {
+    fn mismatched_operands<W: Flavor>() {
         let (spec, x, _) = synthetic_gemm();
         let w_bad = Tensor::from_fn(&[64, 74], |i| i as f32);
-        let backend = ReuseBackend::new(RandomHashProvider::new(10))
+        let backend = fresh::<W>(10)
             .with_pattern("conv1", ReusePattern::conventional(15, 2))
             .with_guard(GuardConfig::strict());
         let err = backend.conv_gemm("conv1", &spec, &x, &w_bad).unwrap_err();

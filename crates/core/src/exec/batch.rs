@@ -18,11 +18,9 @@
 //! which image. [`BatchExecutor`] is the zero-alloc steady-state form:
 //! it owns the stat slots and writes into caller-provided output tensors.
 
-use std::cell::RefCell;
-
 use greuse_tensor::{Permutation, Tensor, WorkerPool};
 
-use crate::exec::{ExecWorkspace, QuantWorkspace, ReuseOutput, ReuseStats};
+use crate::exec::{ExecWorkspace, LayerExecutor, ReuseOutput, ReuseStats};
 use crate::hash_provider::HashProvider;
 use crate::pattern::ReusePattern;
 use crate::{GreuseError, Result};
@@ -151,18 +149,6 @@ pub fn execute_reuse_images(
         ys.push(y);
     }
     Ok((ys, total.finish()))
-}
-
-thread_local! {
-    /// One workspace per participating thread. Pool workers are
-    /// persistent, so these stay warm (sized, permutations compiled)
-    /// across batches — a parallel batch's steady state allocates
-    /// nothing, and on a stable key skips even the re-`prepare` work.
-    static BATCH_WS: RefCell<ExecWorkspace> = RefCell::new(ExecWorkspace::new());
-
-    /// The int8 sibling of [`BATCH_WS`]: one quantized workspace per
-    /// participating thread for [`BatchExecutor::execute_quantized`].
-    static BATCH_QWS: RefCell<QuantWorkspace> = RefCell::new(QuantWorkspace::new());
 }
 
 /// Wraps a raw `*mut T` so pool tasks can write disjoint elements of a
@@ -331,8 +317,7 @@ impl BatchExecutor {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let (n, _) = check_uniform(xs)?;
         let warm_one = || {
-            BATCH_WS.with(|ws| {
-                let mut ws = ws.borrow_mut();
+            ExecWorkspace::with_batch(|ws| {
                 let mut y = vec![0.0f32; n * w.rows()];
                 for x in xs {
                     ws.execute_into(x, w, None, pattern, hashes, "batch", &mut y)?;
@@ -397,7 +382,7 @@ impl BatchExecutor {
         threads: usize,
         ys: &mut [Tensor<f32>],
     ) -> Result<ReuseStats> {
-        self.dispatch_f32(xs, w, pattern, hashes, threads, "batch", ys)?;
+        self.dispatch::<ExecWorkspace>(xs, w, Some(pattern), hashes, threads, "batch", ys)?;
         self.fold_slots(xs.len())
     }
 
@@ -428,84 +413,20 @@ impl BatchExecutor {
         layer: &str,
         ys: &mut [Tensor<f32>],
     ) -> Result<Vec<Result<ReuseStats>>> {
-        self.dispatch_f32(xs, w, pattern, hashes, threads, layer, ys)?;
-        Ok(self.take_slots(xs.len()))
+        self.execute_each_in::<ExecWorkspace>(xs, w, Some(pattern), hashes, threads, layer, ys)
     }
 
+    /// [`BatchExecutor::execute_each`] on workspace type `W`, with
+    /// `pattern: None` running every image dense (see
+    /// [`LayerExecutor::run_layer`]). Images run on each thread's batch
+    /// workspace of type `W`.
+    ///
+    /// `layer` keys that workspace's resident state. For int8 that
+    /// includes the codes of `w`, cached per `(layer, n, k, m, pattern)`
+    /// and *not* re-derived from `w` on later calls: use one layer name
+    /// per weight tensor.
     #[allow(clippy::too_many_arguments)] // batch operands + threading + layer key
-    fn dispatch_f32(
-        &mut self,
-        xs: &[Tensor<f32>],
-        w: &Tensor<f32>,
-        pattern: &ReusePattern,
-        hashes: &dyn HashProvider,
-        threads: usize,
-        layer: &str,
-        ys: &mut [Tensor<f32>],
-    ) -> Result<()> {
-        check_uniform(xs)?;
-        if ys.len() != xs.len() {
-            return Err(GreuseError::InvalidPattern {
-                detail: format!("{} output tensors for {} images", ys.len(), xs.len()),
-            });
-        }
-        let want_cache = self.temporal_cache;
-        self.run_batch_tasks(xs.len(), threads, layer, ys, &|i, y| {
-            BATCH_WS.with(|ws| {
-                let mut ws = ws.borrow_mut();
-                if ws.temporal_cache_enabled() != want_cache {
-                    ws.set_temporal_cache(want_cache);
-                }
-                ws.execute_into(&xs[i], w, None, pattern, hashes, layer, y)
-            })
-        });
-        Ok(())
-    }
-
-    /// Int8 variant of [`BatchExecutor::execute`]: every image runs
-    /// through a thread-local [`QuantWorkspace`] (quantize → packed
-    /// u8×i8 GEMM or quantized reuse → requantize). `pattern: None`
-    /// runs each image dense-quantized. Outputs and totals are
-    /// bit-identical to a sequential [`QuantWorkspace`] loop regardless
-    /// of scheduling, for the same reasons as the f32 path.
-    ///
-    /// `layer` keys the thread-local workspace's resident state, which
-    /// includes the int8 codes of `w`, cached per `(layer, n, k, m,
-    /// pattern)` and *not* re-derived from `w` on later calls. Use one
-    /// layer name per weight tensor: a second call under the same name
-    /// and shape with different weights would reuse the first weights'
-    /// codes.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchExecutor::execute`], plus the quantized
-    /// executor's pattern restrictions (default-layout patterns only).
-    #[allow(clippy::too_many_arguments)] // batch operands + threading + layer key
-    pub fn execute_quantized(
-        &mut self,
-        xs: &[Tensor<f32>],
-        w: &Tensor<f32>,
-        pattern: Option<&ReusePattern>,
-        hashes: &dyn HashProvider,
-        threads: usize,
-        layer: &str,
-        ys: &mut [Tensor<f32>],
-    ) -> Result<ReuseStats> {
-        self.dispatch_quantized(xs, w, pattern, hashes, threads, layer, ys)?;
-        self.fold_slots(xs.len())
-    }
-
-    /// Int8 sibling of [`BatchExecutor::execute_each`]: per-image
-    /// results through thread-local [`QuantWorkspace`]s, `pattern: None`
-    /// running each image dense-quantized. `layer` follows the
-    /// one-name-per-weight-tensor contract of
-    /// [`BatchExecutor::execute_quantized`].
-    ///
-    /// # Errors
-    ///
-    /// Same whole-batch conditions as [`BatchExecutor::execute_each`].
-    #[allow(clippy::too_many_arguments)] // batch operands + threading + layer key
-    pub fn execute_quantized_each(
+    pub(crate) fn execute_each_in<W: LayerExecutor>(
         &mut self,
         xs: &[Tensor<f32>],
         w: &Tensor<f32>,
@@ -515,12 +436,12 @@ impl BatchExecutor {
         layer: &str,
         ys: &mut [Tensor<f32>],
     ) -> Result<Vec<Result<ReuseStats>>> {
-        self.dispatch_quantized(xs, w, pattern, hashes, threads, layer, ys)?;
+        self.dispatch::<W>(xs, w, pattern, hashes, threads, layer, ys)?;
         Ok(self.take_slots(xs.len()))
     }
 
     #[allow(clippy::too_many_arguments)] // batch operands + threading + layer key
-    fn dispatch_quantized(
+    fn dispatch<W: LayerExecutor>(
         &mut self,
         xs: &[Tensor<f32>],
         w: &Tensor<f32>,
@@ -538,12 +459,9 @@ impl BatchExecutor {
         }
         let want_cache = self.temporal_cache;
         self.run_batch_tasks(xs.len(), threads, layer, ys, &|i, y| {
-            BATCH_QWS.with(|ws| {
-                let mut ws = ws.borrow_mut();
-                if ws.temporal_cache_enabled() != want_cache {
-                    ws.set_temporal_cache(want_cache);
-                }
-                ws.execute_into(&xs[i], w, pattern, hashes, layer, y)
+            W::with_batch(|ws| {
+                ws.set_cache(want_cache);
+                ws.run_layer(&xs[i], w, None, pattern, hashes, layer, y)
             })
         });
         Ok(())
@@ -581,6 +499,7 @@ pub fn execute_reuse_images_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::QuantWorkspace;
     use crate::hash_provider::RandomHashProvider;
     use greuse_tensor::gemm_f32;
     use rand::rngs::SmallRng;
@@ -715,10 +634,20 @@ mod tests {
             }
             let mut exec = BatchExecutor::new();
             let mut ys: Vec<Tensor<f32>> = (0..2).map(|_| Tensor::zeros(&[24, 6])).collect();
-            exec.execute_quantized(&xs, &w1, pattern.as_ref(), &hashes, 1, "w1", &mut ys)
-                .unwrap();
-            exec.execute_quantized(&xs, &w2, pattern.as_ref(), &hashes, 1, "w2", &mut ys)
-                .unwrap();
+            for (w, layer) in [(&w1, "w1"), (&w2, "w2")] {
+                let slots = exec
+                    .execute_each_in::<QuantWorkspace>(
+                        &xs,
+                        w,
+                        pattern.as_ref(),
+                        &hashes,
+                        1,
+                        layer,
+                        &mut ys,
+                    )
+                    .unwrap();
+                assert!(slots.iter().all(Result::is_ok), "{slots:?}");
+            }
             assert_eq!(ys, want, "pattern {pattern:?}");
         }
     }
@@ -745,8 +674,9 @@ mod tests {
             for threads in [1, 2, 5] {
                 let mut par_ys: Vec<Tensor<f32>> =
                     (0..xs.len()).map(|_| Tensor::zeros(&[24, 6])).collect();
-                let par_stats = BatchExecutor::new()
-                    .execute_quantized(
+                let mut par_stats = ReuseStats::default();
+                for slot in BatchExecutor::new()
+                    .execute_each_in::<QuantWorkspace>(
                         &xs,
                         &w,
                         pattern.as_ref(),
@@ -755,7 +685,10 @@ mod tests {
                         "batch",
                         &mut par_ys,
                     )
-                    .unwrap();
+                    .unwrap()
+                {
+                    par_stats.merge(&slot.unwrap());
+                }
                 assert_eq!(seq_ys, par_ys, "outputs differ at {threads} threads");
                 assert_eq!(
                     (seq_stats.n_vectors, seq_stats.n_clusters, seq_stats.ops),

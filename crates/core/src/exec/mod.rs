@@ -24,6 +24,7 @@ mod batch;
 mod cache;
 mod horizontal;
 mod quant;
+mod seam;
 mod vertical;
 mod workspace;
 
@@ -32,6 +33,7 @@ pub use batch::{
     BatchStacking,
 };
 pub use quant::QuantWorkspace;
+pub use seam::LayerExecutor;
 pub use workspace::ExecWorkspace;
 
 use serde::{Deserialize, Serialize};

@@ -291,21 +291,7 @@ impl QuantWorkspace {
         layer: &str,
         y: &mut [f32],
     ) -> Result<ReuseStats> {
-        let (n, k) = (x.rows(), x.cols());
-        if w.shape().rank() != 2 || w.cols() != k {
-            return Err(crate::GreuseError::InvalidPattern {
-                detail: format!(
-                    "weight matrix {:?} incompatible with im2col width {k}",
-                    w.shape().dims()
-                ),
-            });
-        }
-        let m = w.rows();
-        if y.len() != n * m {
-            return Err(crate::GreuseError::InvalidPattern {
-                detail: format!("output buffer holds {} elements, need {}", y.len(), n * m),
-            });
-        }
+        let (n, k, m) = crate::exec::seam::gemm_dims(x, w, y)?;
         self.prepare(layer, w, n, pattern)?;
 
         // Clock reads only while capture is active; handles were resolved

@@ -339,8 +339,9 @@ impl ExecWorkspace {
         self.temporal_cache
     }
 
-    /// The shared GEMM pack buffers, lent to callers that run an exact
-    /// dense product on the workspace's behalf (the guard's fallback).
+    /// The shared GEMM pack buffers, lent to the exact dense product an
+    /// unpatterned run (the guard's fallback, the serve dense path) does
+    /// on this workspace.
     pub(crate) fn gemm_scratch(&mut self) -> &mut GemmScratch {
         &mut self.buf.gemm
     }
@@ -458,21 +459,7 @@ impl ExecWorkspace {
         layer: &str,
         y: &mut [f32],
     ) -> Result<ReuseStats> {
-        let (n, k) = (x.rows(), x.cols());
-        if w.shape().rank() != 2 || w.cols() != k {
-            return Err(crate::GreuseError::InvalidPattern {
-                detail: format!(
-                    "weight matrix {:?} incompatible with im2col width {k}",
-                    w.shape().dims()
-                ),
-            });
-        }
-        let m = w.rows();
-        if y.len() != n * m {
-            return Err(crate::GreuseError::InvalidPattern {
-                detail: format!("output buffer holds {} elements, need {}", y.len(), n * m),
-            });
-        }
+        let (n, k, m) = crate::exec::seam::gemm_dims(x, w, y)?;
         self.prepare(layer, n, k, m, pattern, spec)?;
 
         // Clock reads only while capture is active; the handles were

@@ -3,17 +3,19 @@
 //!
 //! [`Engine`] wraps a [`BatchExecutor`] with a fixed model geometry (one
 //! GEMM-shaped layer: the serving unit the reuse pipeline operates on)
-//! and two paths per backend: the reuse pipeline (per-request isolation,
-//! shared temporal cache keyed by the model's layer label) and the dense
-//! fallback the breaker flips to — plain GEMM for f32, dense-quantized
-//! for int8, with no clustering and no reuse-pipeline fault surface.
+//! and two paths: the reuse pipeline (shared temporal cache keyed by the
+//! model's layer label) and the dense fallback the breaker flips to —
+//! the same batch dispatch with no pattern: plain GEMM for f32,
+//! dense-quantized for int8, with no clustering and no reuse-pipeline
+//! fault surface. Both paths isolate each request's panics, and the
+//! backend picks the executor's workspace type in one place.
 //! Responses carry an FNV-1a checksum of the output instead of the
 //! output itself: the chaos suite's bitwise-equivalence assertions and
 //! the load generator need identity, not payload.
 
-use greuse_tensor::{gemm_bt_f32_into_with, GemmScratch, Tensor};
+use greuse_tensor::Tensor;
 
-use crate::exec::BatchExecutor;
+use crate::exec::{BatchExecutor, ExecWorkspace, QuantWorkspace};
 use crate::hash_provider::RandomHashProvider;
 use crate::pattern::ReusePattern;
 use crate::{GreuseError, Result};
@@ -111,10 +113,8 @@ pub struct Engine {
     executor: BatchExecutor,
     hashes: RandomHashProvider,
     /// Reusable per-slot output tensors (grow-only, like the executor's
-    /// stat slots) and dense-path pack scratch.
+    /// stat slots).
     ys: Vec<Tensor<f32>>,
-    dense_scratch: GemmScratch,
-    dense_qws: crate::exec::QuantWorkspace,
 }
 
 impl Engine {
@@ -144,8 +144,6 @@ impl Engine {
             executor,
             hashes: RandomHashProvider::new(hash_seed),
             ys: Vec::new(),
-            dense_scratch: GemmScratch::new(),
-            dense_qws: crate::exec::QuantWorkspace::new(),
         })
     }
 
@@ -194,110 +192,45 @@ impl Engine {
             let (n, m) = (self.spec.n, self.spec.m);
             self.ys.resize_with(xs.len(), || Tensor::zeros(&[n, m]));
         }
-        let outcomes = if dense {
-            self.run_dense(xs)
-        } else {
-            self.run_reuse(xs)
+        // The server-scoped fault point: fires once per reuse batch
+        // (stall schedules slow the pipeline here; the dense path never
+        // fires it, which is what lets the breaker recover).
+        #[cfg(feature = "fault-inject")]
+        if !dense {
+            crate::faults::stall_point(crate::faults::FaultPoint::ServeBatch);
+        }
+        let pattern = (!dense).then_some(&self.spec.pattern);
+        let (weights, hashes, layer) = (&self.spec.weights, &self.hashes, self.spec.layer.as_str());
+        let ys = &mut self.ys[..xs.len()];
+        let outcomes = match self.backend {
+            ServeBackend::F32 => self.executor.execute_each_in::<ExecWorkspace>(
+                xs,
+                weights,
+                pattern,
+                hashes,
+                self.threads,
+                layer,
+                ys,
+            ),
+            ServeBackend::Int8 => self.executor.execute_each_in::<QuantWorkspace>(
+                xs,
+                weights,
+                pattern,
+                hashes,
+                self.threads,
+                layer,
+                ys,
+            ),
         };
         match outcomes {
             Ok(slots) => slots
                 .into_iter()
-                .enumerate()
-                .map(|(i, r)| r.map(|_stats| checksum_f32(self.ys[i].as_slice())))
+                .zip(ys.iter())
+                .map(|(r, y)| r.map(|_stats| checksum_f32(y.as_slice())))
                 .collect(),
             Err(e) => xs.iter().map(|_| Err(e.clone())).collect(),
         }
     }
-
-    fn run_reuse(&mut self, xs: &[Tensor<f32>]) -> Result<Vec<Result<crate::ReuseStats>>> {
-        // The server-scoped fault point: fires once per reuse batch
-        // (stall schedules slow the pipeline here; the dense branch
-        // below never fires it, which is what lets the breaker recover).
-        #[cfg(feature = "fault-inject")]
-        crate::faults::stall_point(crate::faults::FaultPoint::ServeBatch);
-        let ys = &mut self.ys[..xs.len()];
-        match self.backend {
-            ServeBackend::F32 => self.executor.execute_each(
-                xs,
-                &self.spec.weights,
-                &self.spec.pattern,
-                &self.hashes,
-                self.threads,
-                &self.spec.layer,
-                ys,
-            ),
-            ServeBackend::Int8 => self.executor.execute_quantized_each(
-                xs,
-                &self.spec.weights,
-                Some(&self.spec.pattern),
-                &self.hashes,
-                self.threads,
-                &self.spec.layer,
-                ys,
-            ),
-        }
-    }
-
-    /// The dense fallback: no clustering, no reuse pipeline, no
-    /// reuse-pipeline fault points — per request, panic-isolated.
-    fn run_dense(&mut self, xs: &[Tensor<f32>]) -> Result<Vec<Result<crate::ReuseStats>>> {
-        let mut slots = Vec::with_capacity(xs.len());
-        for (i, x) in xs.iter().enumerate() {
-            let y = &mut self.ys[i];
-            let slot = match self.backend {
-                ServeBackend::F32 => {
-                    let (n, k, m) = (self.spec.n, self.spec.k, self.spec.m);
-                    let weights = &self.spec.weights;
-                    let scratch = &mut self.dense_scratch;
-                    isolated(&self.spec.layer, i, || {
-                        gemm_bt_f32_into_with(
-                            x.as_slice(),
-                            weights.as_slice(),
-                            y.as_mut_slice(),
-                            n,
-                            k,
-                            m,
-                            scratch,
-                        )
-                        .map_err(GreuseError::from)
-                        .map(|()| crate::ReuseStats::default())
-                    })
-                }
-                ServeBackend::Int8 => {
-                    let qws = &mut self.dense_qws;
-                    let weights = &self.spec.weights;
-                    let hashes = &self.hashes;
-                    let layer = self.spec.layer.as_str();
-                    isolated(layer, i, || {
-                        qws.execute_into(x, weights, None, hashes, layer, y.as_mut_slice())
-                    })
-                }
-            };
-            slots.push(slot);
-        }
-        Ok(slots)
-    }
-}
-
-/// Per-request panic isolation for the dense path, mirroring the batch
-/// executor's: a panic fails this request as
-/// [`GreuseError::WorkerPanic`] instead of unwinding into the batcher.
-fn isolated(
-    layer: &str,
-    image: usize,
-    body: impl FnOnce() -> Result<crate::ReuseStats>,
-) -> Result<crate::ReuseStats> {
-    #[cfg(feature = "fault-inject")]
-    let prev = crate::faults::set_current_image(Some(image));
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
-    #[cfg(feature = "fault-inject")]
-    crate::faults::set_current_image(prev);
-    result.unwrap_or_else(|_payload| {
-        Err(GreuseError::WorkerPanic {
-            layer: layer.into(),
-            image,
-        })
-    })
 }
 
 /// FNV-1a over the bit patterns of `data` — the response identity used

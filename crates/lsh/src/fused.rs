@@ -26,7 +26,7 @@
 //! All buffers are grow-only, so per-panel reuse at steady shapes is
 //! allocation-free.
 
-use greuse_tensor::{ActQuantParams, TensorError};
+use greuse_tensor::TensorError;
 
 use crate::cluster::refine_threshold;
 use crate::family::{HashFamily, Signature};
@@ -34,9 +34,9 @@ use crate::family::{HashFamily, Signature};
 /// Streaming hash/norm accumulator for one panel of neuron vectors.
 ///
 /// Lifecycle per panel: [`FusedPanelSource::begin_panel`], then for each
-/// unit a series of [`FusedPanelSource::feed`] (or
-/// [`FusedPanelSource::feed_q8`]) calls covering exactly `dim` elements
-/// followed by one [`FusedPanelSource::finish_unit`]; finally read
+/// unit a series of [`FusedPanelSource::feed`] calls covering exactly
+/// `dim` elements followed by one [`FusedPanelSource::finish_unit`] (or
+/// whole units at once through [`FusedPanelSource::feed_rows`]); finally read
 /// [`FusedPanelSource::signatures`] and [`FusedPanelSource::tau`].
 #[derive(Debug, Default)]
 pub struct FusedPanelSource {
@@ -127,17 +127,6 @@ impl FusedPanelSource {
             base += h;
         }
         self.fed += vals.len();
-    }
-
-    /// Quantized variant of [`FusedPanelSource::feed`]: dequantizes
-    /// `codes` into `deq` (same length) with the vectorized kernel, then
-    /// streams the dequantized values. `deq` doubles as the refinement
-    /// staging the grouping pass will measure distances on.
-    #[inline]
-    pub fn feed_q8(&mut self, codes: &[u8], params: &ActQuantParams, deq: &mut [f32]) {
-        debug_assert_eq!(codes.len(), deq.len());
-        greuse_tensor::dequantize_u8_slice(codes, params.scale, params.zero_point, deq);
-        self.feed(deq);
     }
 
     /// Streams `n` complete units (each `dim` contiguous elements of
@@ -320,7 +309,7 @@ impl FusedPanelSource {
 mod tests {
     use super::*;
     use crate::cluster::{cluster_rows, ClusterScratch};
-    use greuse_tensor::{quantize_u8_into, Tensor};
+    use greuse_tensor::{dequantize_u8_slice, quantize_u8_into, ActQuantParams, Tensor};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -418,13 +407,13 @@ mod tests {
         let mut staged = ClusterScratch::new();
         staged.cluster_q8(&q, n, &params, &family).unwrap();
 
+        // The int8 sweep's path: dequantize the panel's codes, then
+        // stream the dequantized units.
+        let mut deq = vec![0.0f32; n * 12];
+        dequantize_u8_slice(&q, params.scale, params.zero_point, &mut deq);
         let mut src = FusedPanelSource::new();
         src.begin_panel(&family);
-        let mut deq = vec![0.0f32; n * 12];
-        for (codes, dst) in q.chunks_exact(12).zip(deq.chunks_exact_mut(12)) {
-            src.feed_q8(codes, &params, dst);
-            src.finish_unit();
-        }
+        src.feed_rows(&deq, n);
         let mut fused = ClusterScratch::new();
         fused
             .cluster_presigned(&deq, n, 12, src.signatures(), src.tau())
