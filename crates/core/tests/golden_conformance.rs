@@ -23,13 +23,25 @@
 //!    cluster exactly, so the reuse walk adds no error beyond quantization
 //!    and the same bound applies.
 //!
+//! 3. **Reuse-executor output bits.** The `reuse_*` fixtures pin the
+//!    output bits and [`ReuseStats`] of [`ExecWorkspace`] and
+//!    [`QuantWorkspace`] under four [`RandomHashProvider`] patterns
+//!    (vertical at block height 1 and 2, horizontal, reordered), on the
+//!    first call of a fresh workspace (hash families built) and on the
+//!    second (families resident). They were generated before the
+//!    executors moved to a single hashing path, so they hold the
+//!    executors to the outputs of the code they replaced.
+//!
 //! Regenerate fixtures (after an *intentional* numeric change) with:
 //!
 //! ```text
 //! cargo test -p greuse --test golden_conformance -- --ignored regenerate
 //! ```
 
-use greuse::{QuantWorkspace, RandomHashProvider, ReusePattern};
+use greuse::{
+    ExecWorkspace, QuantWorkspace, RandomHashProvider, ReuseDirection, ReuseOrder, ReusePattern,
+    ReuseStats, RowOrder,
+};
 use greuse_tensor::{gemm_bt_f32, gemm_ref_f32, Tensor};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -208,6 +220,204 @@ fn golden_int8_within_documented_tolerance() {
             "{}: int8 output deviates {worst} from the golden f32 output (tolerance {tol})",
             case.name
         );
+    }
+}
+
+/// One pinned reuse-executor case: noisy copies of a few prototype rows
+/// (so clustering both merges and refines), run under `pattern`.
+struct ReuseCase {
+    /// Fixture stem: `reuse_<name>_f32` / `reuse_<name>_int8`.
+    name: &'static str,
+    n: usize,
+    k: usize,
+    m: usize,
+    pattern: ReusePattern,
+    /// Whether the int8 executor accepts the pattern (it rejects layout
+    /// reorders; horizontal patterns run dense-quantized).
+    int8: bool,
+    seed: u64,
+}
+
+/// Ragged panels and tails throughout; `H` on both sides of the fused
+/// sweep's 8-lane vector tier.
+fn reuse_cases() -> Vec<ReuseCase> {
+    vec![
+        ReuseCase {
+            name: "vertical_b1",
+            n: 40,
+            k: 27,
+            m: 8,
+            pattern: ReusePattern::conventional(9, 10),
+            int8: true,
+            seed: 21,
+        },
+        ReuseCase {
+            name: "vertical_b2",
+            n: 37,
+            k: 30,
+            m: 6,
+            pattern: ReusePattern::conventional(12, 5).with_block_rows(2),
+            int8: true,
+            seed: 22,
+        },
+        ReuseCase {
+            name: "horizontal",
+            n: 30,
+            k: 24,
+            m: 6,
+            pattern: ReusePattern::conventional(8, 4).with_direction(ReuseDirection::Horizontal),
+            int8: true,
+            seed: 23,
+        },
+        ReuseCase {
+            name: "reordered",
+            n: 36,
+            k: 25,
+            m: 7,
+            pattern: ReusePattern::conventional(10, 12)
+                .with_order(ReuseOrder::Random(7))
+                .with_row_order(RowOrder::Random(3)),
+            int8: false,
+            seed: 24,
+        },
+    ]
+}
+
+/// Operands of a reuse case: rows are noisy copies of 5 prototypes.
+fn reuse_operands(case: &ReuseCase) -> (Tensor<f32>, Tensor<f32>) {
+    let mut rng = SmallRng::seed_from_u64(case.seed);
+    let base: Vec<f32> = (0..5 * case.k)
+        .map(|_| rng.gen_range(-1.0f32..1.0))
+        .collect();
+    let x = Tensor::from_fn(&[case.n, case.k], |i| {
+        let (r, c) = (i / case.k, i % case.k);
+        base[(r % 5) * case.k + c] + rng.gen_range(-0.05f32..0.05)
+    });
+    let w = Tensor::from_fn(&[case.m, case.k], |_| rng.gen_range(-1.0f32..1.0));
+    (x, w)
+}
+
+/// Two calls of one layer on one fresh workspace: `(output, stats)` each.
+type Calls = Vec<(Vec<f32>, ReuseStats)>;
+
+fn run_reuse_f32(case: &ReuseCase) -> Calls {
+    let (x, w) = reuse_operands(case);
+    let hashes = RandomHashProvider::new(case.seed);
+    let mut ws = ExecWorkspace::new();
+    (0..2)
+        .map(|_| {
+            let mut y = vec![0.0f32; case.n * case.m];
+            let stats = ws
+                .execute_into(&x, &w, None, &case.pattern, &hashes, case.name, &mut y)
+                .expect("f32 reuse execute");
+            (y, stats)
+        })
+        .collect()
+}
+
+fn run_reuse_int8(case: &ReuseCase) -> Calls {
+    let (x, w) = reuse_operands(case);
+    let hashes = RandomHashProvider::new(case.seed);
+    let mut ws = QuantWorkspace::new();
+    (0..2)
+        .map(|_| {
+            let mut y = vec![0.0f32; case.n * case.m];
+            let stats = ws
+                .execute_into(&x, &w, Some(&case.pattern), &hashes, case.name, &mut y)
+                .expect("int8 reuse execute");
+            (y, stats)
+        })
+        .collect()
+}
+
+/// The executor runs of a case, by fixture stem.
+fn reuse_runs(case: &ReuseCase) -> Vec<(String, Calls)> {
+    let mut runs = vec![(format!("reuse_{}_f32", case.name), run_reuse_f32(case))];
+    if case.int8 {
+        runs.push((format!("reuse_{}_int8", case.name), run_reuse_int8(case)));
+    }
+    runs
+}
+
+fn golden_path(stem: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{stem}.txt"))
+}
+
+/// Parses a reuse fixture: `#` comments, then per call a `call <i>` line,
+/// a `stats <Debug of ReuseStats>` line and one hex `u32` per output.
+fn read_reuse_fixture(stem: &str) -> Vec<(Vec<u32>, String)> {
+    let path = golden_path(stem);
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
+    let mut calls: Vec<(Vec<u32>, String)> = Vec::new();
+    for line in text.lines().map(str::trim) {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        if line.starts_with("call ") {
+            calls.push((Vec::new(), String::new()));
+        } else if let Some(stats) = line.strip_prefix("stats ") {
+            calls.last_mut().expect("stats before call").1 = stats.to_string();
+        } else {
+            let word = u32::from_str_radix(line, 16)
+                .unwrap_or_else(|e| panic!("bad hex word `{line}` in {}: {e}", path.display()));
+            calls.last_mut().expect("word before call").0.push(word);
+        }
+    }
+    calls
+}
+
+#[test]
+fn golden_reuse_outputs_bit_identical() {
+    for case in reuse_cases() {
+        for (stem, calls) in reuse_runs(&case) {
+            let golden = read_reuse_fixture(&stem);
+            assert_eq!(golden.len(), calls.len(), "{stem}: call count");
+            for (call, ((want, want_stats), (y, stats))) in golden.iter().zip(&calls).enumerate() {
+                assert_eq!(
+                    &format!("{stats:?}"),
+                    want_stats,
+                    "{stem}: call {} stats",
+                    call + 1
+                );
+                assert_eq!(want.len(), y.len(), "{stem}: call {} size", call + 1);
+                for (i, (&g, v)) in want.iter().zip(y).enumerate() {
+                    assert_eq!(
+                        g,
+                        v.to_bits(),
+                        "{stem}: call {} y[{i}] diverged from the golden bits ({} vs {v})",
+                        call + 1,
+                        f32::from_bits(g)
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Fixture generator — run explicitly after an intentional numeric
+/// change; never part of the normal test run.
+#[test]
+#[ignore = "writes tests/golden/ fixtures; run on intentional numeric changes only"]
+fn regenerate_golden_reuse_fixtures() {
+    for case in reuse_cases() {
+        for (stem, calls) in reuse_runs(&case) {
+            let mut text = format!(
+                "# greuse golden reuse output `{stem}`: output bits and ReuseStats of two calls\n\
+                 # n={} k={} m={} pattern={} seed={}\n\
+                 # regenerate: cargo test -p greuse --test golden_conformance -- --ignored regenerate\n",
+                case.n, case.k, case.m, case.pattern, case.seed
+            );
+            for (i, (y, stats)) in calls.iter().enumerate() {
+                text.push_str(&format!("call {}\nstats {stats:?}\n", i + 1));
+                for v in y {
+                    text.push_str(&format!("{:08x}\n", v.to_bits()));
+                }
+            }
+            std::fs::write(golden_path(&stem), text).expect("write fixture");
+        }
     }
 }
 
