@@ -35,10 +35,12 @@ cargo test -q -p greuse-telemetry --no-default-features
 echo "==> golden-vector conformance suite"
 cargo test -q -p greuse --test golden_conformance
 
-# A fresh workspace's first call (staged pipeline) must equal, bit for
-# bit and in ReuseStats, the same workspace's second call (fused) and a
-# second fresh workspace, on the f32 and int8 executors.
-echo "==> fused/staged equivalence suite"
+# One hashing path, whatever the call: a fresh workspace's first call
+# (which builds the hash families) must equal, bit for bit and in
+# ReuseStats, the same workspace's second call (families resident), a
+# second fresh workspace, and a provider that reports its families as
+# data dependent, on the f32 and int8 executors.
+echo "==> first-call/resident/data-dependent equivalence suite"
 cargo test -q -p greuse --test fused_equivalence
 
 # Whole-network dense conformance: ResNet-18 (paper scale) and CifarNet
@@ -57,8 +59,9 @@ cargo test -q -p greuse-nn --test lowering_oracle
 
 # Whole-network steady state: every layer of a CifarNet (f32) and a
 # SqueezeNet (int8) forward keeps its executor state resident, so after
-# warm-up no conv GEMM allocates and no patterned layer runs staged. A
-# return of per-call workspace rebuilds fails here by name.
+# warm-up no conv GEMM allocates and no patterned layer rebuilds its
+# hash families (no `mode="build"` latency sample). A return of per-call
+# workspace rebuilds fails here by name.
 echo "==> whole-network steady-state suite"
 cargo test -q -p greuse --test network_steady_state
 

@@ -60,8 +60,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Frames 0-2 are structurally cold: the staged first call, the first
-/// fused call (first cache store), and the first possible hit. Steady
+/// Frames 0-2 are structurally cold: the first call (builds the hash
+/// families; the cache does not engage), the first call with resident
+/// families (first cache store), and the first possible hit. Steady
 /// state is everything after.
 const WARMUP_FRAMES: usize = 3;
 

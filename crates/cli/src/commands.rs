@@ -705,10 +705,11 @@ pub fn stream(opts: &Options) -> Result<(), String> {
     );
 
     // Per-layer latency percentiles from the metrics registry: the warm
-    // (fully cache-hit) mode against the cold modes (staged first call,
-    // fused cache-miss frames), plus the per-panel hit/miss split.
+    // (fully cache-hit) mode against the cold modes (the first call,
+    // which builds the hash families, and fused cache-miss frames), plus
+    // the per-panel hit/miss split.
     println!("  per-layer latency (layer \"stream\", backend {backend_name}):");
-    for mode in ["warm", "fused", "staged"] {
+    for mode in ["warm", "fused", "build"] {
         match latency_snapshot("stream", &backend_name, mode) {
             Some(s) => println!(
                 "    {:<6} {:>6} frames: p50 {:>9.1} us  p95 {:>9.1} us  p99 {:>9.1} us  max {:>9.1} us",

@@ -268,8 +268,9 @@ mod tests {
 
     #[test]
     fn pooled_workspace_repeats_bit_identically() {
-        // The second call of a layer runs the fused pipeline on the
-        // pooled workspace; it must equal the first (staged) call.
+        // The second call of a layer finds its hash families resident in
+        // the pooled workspace; it must equal the first call, which built
+        // them.
         let policy = AdaptivePolicy {
             aggressive: ReusePattern::conventional(8, 2),
             conservative: ReusePattern::conventional(8, 8),

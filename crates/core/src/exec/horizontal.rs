@@ -43,23 +43,9 @@ pub(crate) fn horizontal_into(
         let (row0, lh) = (panel.start, panel.len());
 
         // Column vectors of the panel: k vectors of length lh, gathered as
-        // rows of the unit matrix (the transposed panel). With a cached
-        // family, each column is hashed and norm-scanned as it is
-        // transposed out of the activation matrix.
+        // rows of the unit matrix (the transposed panel).
         let units = &mut buf.units[..k * lh];
-        let fused_ready = hashes.data_independent() && families.len() > panel.index;
-        if fused_ready {
-            let _fused = greuse_telemetry::span!("exec.fused_pack_hash");
-            fsrc.begin_panel(&families[panel.index]);
-            for j in 0..k {
-                let dst = &mut units[j * lh..(j + 1) * lh];
-                for (r, d) in dst.iter_mut().enumerate() {
-                    *d = x[(row0 + r) * k + j];
-                }
-                fsrc.feed(dst);
-                fsrc.finish_unit();
-            }
-        } else {
+        {
             let _gather = greuse_telemetry::span!("exec.gather");
             for j in 0..k {
                 for r in 0..lh {
@@ -80,39 +66,27 @@ pub(crate) fn horizontal_into(
             lh,
             &(),
         )?;
+        // See vertical.rs: a corrupting fault rewrites the units before
+        // the sweep hashes them.
         #[cfg(feature = "fault-inject")]
         let injected = {
             use crate::faults::{corrupt_slice, fire, FaultAction, FaultPoint};
             let action = fire(FaultPoint::LshHash);
             match action {
                 Some(FaultAction::Panic) => panic!("fault-inject: panic at `lsh.hash`"),
-                Some(
-                    c @ (FaultAction::CorruptNan | FaultAction::CorruptInf | FaultAction::Saturate),
-                ) => corrupt_slice(c, units),
-                _ => {}
+                Some(c) => corrupt_slice(c, units),
+                None => {}
             }
             action
         };
-        // See vertical.rs: corrupting faults invalidate the fused
-        // signatures, so fall back to the staged hash over the
-        // now-corrupted units.
-        #[cfg(feature = "fault-inject")]
-        let fused_ready = fused_ready
-            && !matches!(
-                injected,
-                Some(
-                    crate::faults::FaultAction::CorruptNan
-                        | crate::faults::FaultAction::CorruptInf
-                        | crate::faults::FaultAction::Saturate
-                )
-            );
+        {
+            let _fused = greuse_telemetry::span!("exec.fused_pack_hash");
+            fsrc.begin_panel(family);
+            fsrc.feed_rows(units, k);
+        }
         {
             let _cluster = greuse_telemetry::span!("exec.cluster");
-            if fused_ready {
-                scratch.cluster_presigned(units, k, lh, fsrc.signatures(), fsrc.tau())?;
-            } else {
-                scratch.cluster(units, k, family)?;
-            }
+            scratch.cluster_presigned(units, k, lh, fsrc.signatures(), fsrc.tau())?;
         }
         #[cfg(feature = "fault-inject")]
         if injected == Some(crate::faults::FaultAction::DegenerateClusters) {

@@ -61,8 +61,8 @@ pub struct ReuseStats {
     /// and centroid-GEMM output (zero when the cache is disabled).
     pub cache_hits: u64,
     /// Temporal-cache panel misses: the cache was enabled but the panel
-    /// ran the cold path (first frame, changed signatures, a staged call,
-    /// or a fault kept the probe from running).
+    /// ran the cold path (first frame, changed signatures, a call that
+    /// built its hash families, or a fault kept the probe from running).
     pub cache_misses: u64,
     /// Temporal-cache invalidations: signatures matched a cached frame
     /// but the data did not bit-compare equal, evicting the entry.

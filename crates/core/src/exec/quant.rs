@@ -97,7 +97,7 @@ struct QLayer {
     /// makes cached groupings describe different real data even when the
     /// codes match — the whole cache is cleared.
     cache_params: Option<ActQuantParams>,
-    /// Per-call latency histograms for this layer, `[warm, fused, staged]`.
+    /// Per-call latency histograms for this layer, `[warm, fused, build]`.
     lat: [&'static greuse_telemetry::metrics::Hist; 3],
 }
 
@@ -309,7 +309,7 @@ impl QuantWorkspace {
             ..
         } = self;
         let state = &mut layers[*active];
-        let fused_engaged = !state.families.is_empty();
+        let built = state.families.is_empty();
 
         // Per-call activation quantization (dynamic range).
         let x_q = &mut x_q[..n * k];
@@ -399,7 +399,7 @@ impl QuantWorkspace {
         // quantization pass over the activations.
         stats.ops.transform_elems = 2 * (n * k) as u64;
         if let Some(t0) = t0 {
-            state.lat[crate::exec::workspace::latency_mode_index(&stats, fused_engaged)]
+            state.lat[crate::exec::workspace::latency_mode_index(&stats, built)]
                 .record_ns(t0.elapsed().as_nanos() as u64);
         }
         Ok(stats.finish())

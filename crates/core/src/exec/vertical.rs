@@ -12,9 +12,9 @@
 //! One driver, [`vertical_into`], runs this walk for both executors: over
 //! `f32` activations for [`super::ExecWorkspace`] and over `u8`
 //! activation codes for [`super::QuantWorkspace`]. The per-panel
-//! sequence — gather, family lookup, fused sweep or staged cluster,
-//! temporal-cache hit/probe/restore, stats, fold, centroid GEMM,
-//! recovery, cache commit, ragged tail — is written once; only the
+//! sequence — gather, family lookup, fault point, the fused hash sweep,
+//! temporal-cache hit/probe/restore, grouping, stats, fold, centroid
+//! GEMM, recovery, cache commit, ragged tail — is written once; only the
 //! element-specific steps sit behind the [`PanelElem`] hooks.
 //!
 //! The kernel is a workspace function: every intermediate lives in the
@@ -64,8 +64,8 @@ pub(crate) trait PanelElem: CacheElem {
     fn family_data(units: &[Self], rows: usize, dim: usize, ctx: &Self::Ctx)
         -> Result<Tensor<f32>>;
 
-    /// The values the fused sweep hashes: the units themselves, or their
-    /// dequantization into `deq`.
+    /// The values the fused sweep hashes and the leader walk measures:
+    /// the units themselves, or their dequantization into `deq`.
     fn hash_rows<'a>(
         rows: &'a [Self],
         stride: usize,
@@ -74,15 +74,6 @@ pub(crate) trait PanelElem: CacheElem {
         deq: &'a mut [f32],
         ctx: &Self::Ctx,
     ) -> &'a [f32];
-
-    /// Staged clustering of `n` gathered units of `family.l()` elements.
-    fn cluster(
-        scratch: &mut ClusterScratch,
-        units: &[Self],
-        n: usize,
-        family: &HashFamily,
-        ctx: &Self::Ctx,
-    ) -> Result<()>;
 
     /// Writes the centroid of every cluster of `scratch`, stacked
     /// `(n_c·b) x lw` (a block's rows are already row-contiguous), into
@@ -117,10 +108,10 @@ pub(crate) trait PanelElem: CacheElem {
     /// `dst += src`, for the exactly computed ragged tail.
     fn add_assign(dst: &mut [Self::Acc], src: &[Self::Acc]);
 
-    /// Applies a payload-corrupting fault to the gathered units; `true`
-    /// when it rewrote them (then the fused signatures are stale).
+    /// Applies a payload-corrupting fault to the gathered units, before
+    /// they are hashed.
     #[cfg(feature = "fault-inject")]
-    fn corrupt(action: crate::faults::FaultAction, units: &mut [Self]) -> bool;
+    fn corrupt(action: crate::faults::FaultAction, units: &mut [Self]);
 }
 
 impl PanelElem for f32 {
@@ -156,16 +147,6 @@ impl PanelElem for f32 {
     ) -> &'a [f32] {
         debug_assert_eq!(stride, dim, "f32 units are always gathered");
         &rows[..n * dim]
-    }
-
-    fn cluster(
-        scratch: &mut ClusterScratch,
-        units: &[f32],
-        n: usize,
-        family: &HashFamily,
-        _: &(),
-    ) -> Result<()> {
-        Ok(scratch.cluster(units, n, family)?)
     }
 
     fn fold(
@@ -214,25 +195,17 @@ impl PanelElem for f32 {
     }
 
     #[cfg(feature = "fault-inject")]
-    fn corrupt(action: crate::faults::FaultAction, units: &mut [f32]) -> bool {
-        use crate::faults::FaultAction;
-        let corrupting = matches!(
-            action,
-            FaultAction::CorruptNan | FaultAction::CorruptInf | FaultAction::Saturate
-        );
-        if corrupting {
-            crate::faults::corrupt_slice(action, units);
-        }
-        corrupting
+    fn corrupt(action: crate::faults::FaultAction, units: &mut [f32]) {
+        crate::faults::corrupt_slice(action, units);
     }
 }
 
 /// The int8 executor's element. Clustering sees exactly the values the
-/// f32 pipeline would see after quantization noise (the staged clusterer
-/// and the fused sweep dequantize with the same expression); the fold is
-/// the integer rounded mean of the member codes; the centroid GEMM is the
-/// packed u8×i8 kernel with `i32` accumulators over the layer's
-/// panel-major weight codes.
+/// f32 pipeline would see after quantization noise (the sweep hashes the
+/// codes dequantized with the expression of `ActQuantParams::dequantize`);
+/// the fold is the integer rounded mean of the member codes; the centroid
+/// GEMM is the packed u8×i8 kernel with `i32` accumulators over the
+/// layer's panel-major weight codes.
 impl PanelElem for u8 {
     type W = i8;
     type Acc = i32;
@@ -277,16 +250,6 @@ impl PanelElem for u8 {
             }
         }
         deq
-    }
-
-    fn cluster(
-        scratch: &mut ClusterScratch,
-        units: &[u8],
-        n: usize,
-        family: &HashFamily,
-        params: &ActQuantParams,
-    ) -> Result<()> {
-        Ok(scratch.cluster_q8(units, n, params, family)?)
     }
 
     fn fold(
@@ -342,9 +305,7 @@ impl PanelElem for u8 {
     /// Payload-corrupting actions have no `u8` meaning: the fault fires
     /// (so the panel is still kept out of the cache) but the codes stay.
     #[cfg(feature = "fault-inject")]
-    fn corrupt(_: crate::faults::FaultAction, _: &mut [u8]) -> bool {
-        false
-    }
+    fn corrupt(_: crate::faults::FaultAction, _: &mut [u8]) {}
 }
 
 /// Runs the vertical reuse walk of `y += x × wᵀ` (`x` is `N x K`, `y` is
@@ -390,17 +351,17 @@ pub(crate) fn vertical_into<E: PanelElem>(
         let (col0, col1, lw) = (panel.start, panel.end, panel.len());
 
         if full_blocks > 0 {
-            // Gather block vectors: full_blocks x (b*lw). With a cached
-            // family (a data-independent provider, from the layer's second
-            // call on), the gathered (cache-hot) panel is then hashed and
-            // norm-scanned in one batched sweep instead of two more passes
-            // (packed-projection hash, norm scan).
+            // Gather block vectors: full_blocks x (b*lw), then hash and
+            // norm-scan the (cache-hot) panel in one batched sweep.
             let dim = b * lw;
-            let fused_ready = hashes.data_independent() && families.len() > panel.index;
-            // At block height 1 every unit of a code matrix is a
-            // contiguous row slice of `x`, so the fused path reads it in
-            // place and skips the gather copy.
-            let in_place = E::CODES && fused_ready && b == 1;
+            // A data-independent provider's family stays resident from
+            // the layer's second call on. Residency gates two things, and
+            // neither is how the panel is hashed: reading codes in place
+            // (at block height 1 every unit of a code matrix is a
+            // contiguous row slice of `x`, but a family built now would
+            // need the gathered units), and the temporal cache.
+            let resident = hashes.data_independent() && families.len() > panel.index;
+            let in_place = E::CODES && resident && b == 1;
             if !in_place {
                 let _gather = greuse_telemetry::span!("exec.gather");
                 let units = &mut units_buf[..full_blocks * dim];
@@ -425,32 +386,28 @@ pub(crate) fn vertical_into<E: PanelElem>(
                 dim,
                 ctx,
             )?;
+            // A corrupting fault rewrites the gathered units before the
+            // sweep, so the corrupted data is what gets hashed.
             #[cfg(feature = "fault-inject")]
             let injected = crate::faults::fire(crate::faults::FaultPoint::LshHash);
             #[cfg(feature = "fault-inject")]
-            let corrupted = match injected {
+            match injected {
                 Some(crate::faults::FaultAction::Panic) => {
                     panic!("fault-inject: panic at `lsh.hash`")
                 }
                 Some(action) => E::corrupt(action, &mut units_buf[..full_blocks * dim]),
-                None => false,
-            };
-            // A corrupting fault rewrites the gathered units; hash the
-            // corrupted data through the staged path so the fault is
-            // observed exactly as on a first call.
-            #[cfg(feature = "fault-inject")]
-            let fused_ready = fused_ready && !corrupted;
+                None => {}
+            }
             #[cfg(feature = "fault-inject")]
             let fault_clean = injected.is_none();
             #[cfg(not(feature = "fault-inject"))]
             let fault_clean = true;
-            let units = &units_buf[..full_blocks * dim];
-            // The unit rows as the cache and the fold see them: strided in
-            // `x` when read in place, gathered otherwise.
+            // The unit rows as the sweep, the cache and the fold see them:
+            // strided in `x` when read in place, gathered otherwise.
             let (rows, stride, width) = if in_place {
                 (&x[col0..], k, lw)
             } else {
-                (units, dim, dim)
+                (&units_buf[..full_blocks * dim], dim, dim)
             };
 
             // Temporal-reuse fast path: a tile bitwise equal to its cached
@@ -459,13 +416,13 @@ pub(crate) fn vertical_into<E: PanelElem>(
             // int8 executor clears the cache when its quantization params
             // change), so it replays without being hashed. Every other
             // tile is hashed.
-            let tile_hit = fused_ready
-                && fault_clean
+            let cache_gate = resident && fault_clean;
+            let tile_hit = cache_gate
                 && cache
                     .as_deref()
                     .is_some_and(|c| c.hit(panel, rows, stride, width));
             let mut hashed: &[f32] = &[];
-            if fused_ready && !tile_hit {
+            if !tile_hit {
                 let _fused = greuse_telemetry::span!("exec.fused_pack_hash");
                 fsrc.begin_panel(family);
                 hashed = E::hash_rows(rows, stride, full_blocks, dim, deq, ctx);
@@ -478,13 +435,14 @@ pub(crate) fn vertical_into<E: PanelElem>(
             let panel_t0 =
                 (cache.is_some() && greuse_telemetry::enabled()).then(std::time::Instant::now);
 
-            // Temporal-reuse probe: with no fault fired this panel, an
-            // unchanged tile (validated bitwise — see `cache.rs`) replays
-            // its cached clustering and centroid-GEMM output outright; a
-            // rejected tile is classified from its fresh signatures.
+            // Temporal-reuse probe: with the family resident and no fault
+            // fired this panel, an unchanged tile (validated bitwise — see
+            // `cache.rs`) replays its cached clustering and centroid-GEMM
+            // output outright; a rejected tile is classified from its
+            // fresh signatures.
             let mut warm = false;
             if let Some(c) = cache.as_deref_mut() {
-                if fused_ready && fault_clean {
+                if cache_gate {
                     let probe = if tile_hit {
                         Probe::Hit
                     } else {
@@ -516,17 +474,13 @@ pub(crate) fn vertical_into<E: PanelElem>(
             if !warm {
                 {
                     let _cluster = greuse_telemetry::span!("exec.cluster");
-                    if fused_ready {
-                        scratch.cluster_presigned(
-                            hashed,
-                            full_blocks,
-                            dim,
-                            fsrc.signatures(),
-                            fsrc.tau(),
-                        )?;
-                    } else {
-                        E::cluster(scratch, units, full_blocks, family, ctx)?;
-                    }
+                    scratch.cluster_presigned(
+                        hashed,
+                        full_blocks,
+                        dim,
+                        fsrc.signatures(),
+                        fsrc.tau(),
+                    )?;
                 }
                 #[cfg(feature = "fault-inject")]
                 if injected == Some(crate::faults::FaultAction::DegenerateClusters) {
@@ -591,10 +545,10 @@ pub(crate) fn vertical_into<E: PanelElem>(
                     );
                 }
                 // Commit to the cache only results of a genuine,
-                // fault-free cold run with fused signatures: everything a
-                // later hit replays must be exactly what the cold path
+                // fault-free cold run under a resident family: everything
+                // a later hit replays must be exactly what the cold path
                 // produced.
-                if fused_ready && fault_clean {
+                if cache_gate {
                     if let Some(c) = cache.as_deref_mut() {
                         c.store(
                             panel,

@@ -11,10 +11,11 @@
 //! slices it to its exact size. A network forward therefore walks its
 //! layers through one workspace without rebuilding anything: after every
 //! layer has run once, [`ExecWorkspace::execute_into`] performs **zero
-//! heap allocations** and every patterned layer runs the fused pipeline
-//! (with a data-independent hash provider; data-adapted providers
-//! recompute families from the data each call and therefore allocate
-//! inside the provider, and stay on the staged pipeline).
+//! heap allocations** (with a data-independent hash provider; data-adapted
+//! providers recompute families from the data each call and therefore
+//! allocate inside the provider). Every call, first or not and whatever
+//! the provider, hashes each panel the same way: one fused sweep, then
+//! grouping from its signatures.
 //!
 //! [`PanelIter`] is the shared panel walk driving both reuse directions:
 //! vertical slices the im2col matrix's *columns* into panels of width
@@ -24,7 +25,7 @@
 //! reorder → cluster → centroid-GEMM plumbing is common and lives here.
 
 use greuse_lsh::{ClusterScratch, FusedPanelSource, HashFamily};
-use greuse_tensor::{ConvSpec, GemmScratch, Permutation, Tensor};
+use greuse_tensor::{ConvSpec, GemmScratch, Permutation, Tensor, TensorError};
 
 use crate::exec::cache::ReuseCache;
 use crate::exec::horizontal::horizontal_into;
@@ -128,8 +129,8 @@ impl WsKey {
 /// Layer-resident executor state: everything that depends only on the
 /// layer's key, built once by [`ExecWorkspace::prepare`] and kept across
 /// calls — the compiled permutations, the per-panel hash families (whose
-/// presence is what lets the fused sweep engage), the temporal cache,
-/// and the latency-histogram handles.
+/// presence lets a call skip building them and engages the temporal
+/// cache), the temporal cache, and the latency-histogram handles.
 #[derive(Debug)]
 struct LayerState {
     key: WsKey,
@@ -137,7 +138,7 @@ struct LayerState {
     row_perm: Option<Permutation>,
     families: Vec<HashFamily>,
     cache: Option<ReuseCache<f32, f32>>,
-    /// Per-call latency histograms for this layer, `[warm, fused, staged]`.
+    /// Per-call latency histograms for this layer, `[warm, fused, build]`.
     /// Resolved here (registry lookup builds a key string) so
     /// `execute_into` only records.
     lat: [&'static greuse_telemetry::metrics::Hist; 3],
@@ -536,9 +537,10 @@ impl ExecWorkspace {
         };
         drop(reorder_span);
 
-        // The fused sweep only engages once the panel families are cached
-        // (second call onward); label the series accordingly.
-        let fused_engaged = !families.is_empty();
+        // A call that finds no resident families builds them (a first
+        // call, or any call of a data-dependent provider); label the
+        // series accordingly.
+        let built = families.is_empty();
 
         let mut stats = ReuseStats::default();
         {
@@ -586,21 +588,20 @@ impl ExecWorkspace {
         // layout permutation (the paper includes reorder costs, §5.1).
         stats.ops.transform_elems = (n * k) as u64 * (1 + layout_passes);
         if let Some(t0) = t0 {
-            lat[latency_mode_index(&stats, fused_engaged)]
-                .record_ns(t0.elapsed().as_nanos() as u64);
+            lat[latency_mode_index(&stats, built)].record_ns(t0.elapsed().as_nanos() as u64);
         }
         Ok(stats.finish())
     }
 }
 
-/// Resolves the `[warm, fused, staged]` per-layer latency histograms under
+/// Resolves the `[warm, fused, build]` per-layer latency histograms under
 /// the canonical `exec.layer_latency{layer=..,backend=..,mode=..}` keys.
 /// Allocates (key strings + first-use shard storage) — prepare-phase only.
 pub(crate) fn layer_latency_hists(
     layer: &str,
     backend: &str,
 ) -> [&'static greuse_telemetry::metrics::Hist; 3] {
-    ["warm", "fused", "staged"].map(|m| {
+    ["warm", "fused", "build"].map(|m| {
         greuse_telemetry::metrics::hist_labeled(
             "exec.layer_latency",
             &[("layer", layer), ("backend", backend), ("mode", m)],
@@ -609,15 +610,16 @@ pub(crate) fn layer_latency_hists(
 }
 
 /// Which latency series a finished call belongs to: fully warm calls
-/// (every panel replayed from the temporal cache) report as `warm`;
-/// anything that clustered reports as `fused` or `staged` by pipeline.
-pub(crate) fn latency_mode_index(stats: &ReuseStats, fused_engaged: bool) -> usize {
+/// (every panel replayed from the temporal cache) report as `warm`; a
+/// call that `built` its hash families reports as `build`; every other
+/// call hashed under resident families and reports as `fused`.
+pub(crate) fn latency_mode_index(stats: &ReuseStats, built: bool) -> usize {
     if stats.cache_hits > 0 && stats.cache_misses == 0 && stats.cache_invalidations == 0 {
         0
-    } else if fused_engaged {
-        1
-    } else {
+    } else if built {
         2
+    } else {
+        1
     }
 }
 
@@ -628,6 +630,12 @@ pub(crate) fn latency_mode_index(stats: &ReuseStats, fused_engaged: bool) -> usi
 /// round-trip (no key-string allocation, no family clone). Data-dependent
 /// providers see the gathered unit matrix (dequantized, for codes) on
 /// every call.
+///
+/// # Errors
+///
+/// Propagates provider errors, and returns a shape mismatch when the
+/// family's vector length is not the panel's unit length `dim` (the
+/// fused sweep reads exactly `dim` elements per unit).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn panel_family<'a, E: PanelElem>(
     families: &'a mut Vec<HashFamily>,
@@ -641,18 +649,26 @@ pub(crate) fn panel_family<'a, E: PanelElem>(
     dim: usize,
     ctx: &E::Ctx,
 ) -> Result<&'a HashFamily> {
-    if hashes.data_independent() {
+    let family = if hashes.data_independent() {
         if families.len() <= panel {
             debug_assert_eq!(families.len(), panel, "panels are visited in order");
             let data = E::family_data(units, rows, dim, ctx)?;
             families.push(hashes.family(layer, panel, h, &data)?);
         }
-        Ok(&families[panel])
+        &families[panel]
     } else {
         let data = E::family_data(units, rows, dim, ctx)?;
-        *owned = Some(hashes.family(layer, panel, h, &data)?);
-        Ok(owned.as_ref().expect("just stored"))
+        owned.insert(hashes.family(layer, panel, h, &data)?)
+    };
+    if family.l() != dim {
+        return Err(TensorError::ShapeMismatch {
+            op: "panel_family",
+            expected: vec![dim],
+            actual: vec![family.l()],
+        }
+        .into());
     }
+    Ok(family)
 }
 
 /// Recovers a conv output grid from a row count: the executor does not

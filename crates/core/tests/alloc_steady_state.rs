@@ -143,9 +143,9 @@ fn assert_parallel_batch_steady_state() {
 }
 
 /// The temporal cache's warm path must be allocation-free too: after
-/// the staged call, the storing call, and the first hit have sized the
-/// cache, repeated identical frames replay cached centroid outputs
-/// without allocating — on both executors.
+/// the family-building call, the storing call, and the first hit have
+/// sized the cache, repeated identical frames replay cached centroid
+/// outputs without allocating — on both executors.
 fn assert_temporal_cache_steady_state() {
     let (n, k, m) = (64usize, 48usize, 8usize);
     let pattern = ReusePattern::conventional(12, 4);

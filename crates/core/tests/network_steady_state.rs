@@ -4,9 +4,9 @@
 //! Backends check one pooled workspace out for every layer of a forward.
 //! The workspace keeps a resident entry per layer beside one shared
 //! scratch arena, so after warm-up a forward must neither allocate inside
-//! any `conv_gemm_into` call nor fall back to the staged pipeline on a
-//! patterned layer, and its logits must match a freshly built backend bit
-//! for bit.
+//! any `conv_gemm_into` call nor rebuild a patterned layer's hash
+//! families, and its logits must match a freshly built backend bit for
+//! bit.
 //!
 //! This is its own test binary because it reads the process-global
 //! `exec.layer_latency` histograms and counts allocations per thread.
@@ -128,9 +128,9 @@ fn check_network<B: ConvBackend>(
     for x in &images[..2] {
         net.forward(x, &backend).unwrap();
     }
-    let staged_before: Vec<u64> = patterned
+    let build_before: Vec<u64> = patterned
         .iter()
-        .map(|l| latency_count(l, backend_label, "staged"))
+        .map(|l| latency_count(l, backend_label, "build"))
         .collect();
     let fused_before: Vec<u64> = patterned
         .iter()
@@ -150,9 +150,9 @@ fn check_network<B: ConvBackend>(
 
     for (i, layer) in patterned.iter().enumerate() {
         assert_eq!(
-            latency_count(layer, backend_label, "staged"),
-            staged_before[i],
-            "{layer} ran the staged pipeline after warm-up"
+            latency_count(layer, backend_label, "build"),
+            build_before[i],
+            "{layer} rebuilt its hash families after warm-up"
         );
         if cfg!(feature = "telemetry") {
             assert_eq!(
@@ -163,8 +163,8 @@ fn check_network<B: ConvBackend>(
         }
     }
 
-    // A fresh backend runs each layer's first call staged; the resident
-    // fused path must reproduce it bit for bit.
+    // A fresh backend builds each layer's hash families on its first
+    // call; the resident state must reproduce it bit for bit.
     for (x, got) in images[2..].iter().zip(&logits) {
         let fresh = net.forward(x, &build()).unwrap();
         assert_eq!(&fresh, got, "resident state changed the logits");

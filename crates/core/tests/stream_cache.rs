@@ -156,9 +156,9 @@ proptest! {
         assert_bitwise_eq(&warm_q, &cold_q, "int8");
     }
 
-    /// An unperturbed stream must go fully warm: once the fused path has
-    /// staged (frame 0) and stored (frame 1), every later frame hits on
-    /// every panel, and no hit is ever invalidated.
+    /// An unperturbed stream must go fully warm: once the layer has
+    /// built its families (frame 0) and stored (frame 1), every later
+    /// frame hits on every panel, and no hit is ever invalidated.
     #[test]
     fn identical_frames_go_fully_warm(
         seed in any::<u64>(),

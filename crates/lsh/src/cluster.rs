@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use greuse_tensor::{ActQuantParams, Tensor, TensorError};
+use greuse_tensor::{Tensor, TensorError};
 
 use crate::family::{HashFamily, SigScratch, Signature};
 
@@ -198,8 +198,8 @@ pub fn refine_threshold(mean_norm: f32, h: usize) -> f32 {
 /// The AVX2 tier reduces in 8 lanes, so the summation *order* differs
 /// from the scalar fold. The distance is only ever compared against the
 /// refinement radius `tau²` (it never enters the output arithmetic), and
-/// every clustering entry point — staged, presigned/fused, and the
-/// allocating reference — shares this one function, so all paths still
+/// every clustering entry point — the scratch reference, presigned/fused,
+/// and the allocating reference — shares this one function, so all paths still
 /// agree with each other exactly; only vectors sitting within float
 /// reassociation error of the radius could cluster differently than
 /// under the scalar fold (for exact duplicates every term is zero in any
@@ -337,8 +337,6 @@ pub struct ClusterScratch {
     leaders: Vec<usize>,
     assignments: Vec<usize>,
     sizes: Vec<usize>,
-    /// Dequantized-row staging for [`ClusterScratch::cluster_q8`].
-    deq: Vec<f32>,
 }
 
 /// End-of-chain marker for [`ClusterScratch::chain`].
@@ -352,7 +350,10 @@ impl ClusterScratch {
 
     /// Clusters `n` contiguous rows of `data` (each of length
     /// `family.l()`) exactly as [`cluster_rows`] would, reusing this
-    /// scratch's buffers. Results are read back via
+    /// scratch's buffers: hashes them with the packed projection, scans
+    /// their norms, then groups them. This is the reference the fused
+    /// sweep plus [`ClusterScratch::cluster_presigned`] is tested
+    /// against. Results are read back via
     /// [`ClusterScratch::assignments`] / [`ClusterScratch::sizes`] /
     /// [`ClusterScratch::centroids_into`].
     ///
@@ -388,12 +389,12 @@ impl ClusterScratch {
 
     /// Groups `n` rows of `data` using **precomputed** signatures and a
     /// precomputed refinement radius — the grouping half of
-    /// [`ClusterScratch::cluster`], for callers that already produced
-    /// signatures in a fused materialize-and-hash sweep (see
-    /// [`crate::FusedPanelSource`]). When `sigs` and `tau` are
-    /// bit-identical to what the staged path would compute (the fused
-    /// source guarantees this), the resulting clustering matches
-    /// [`ClusterScratch::cluster`] exactly.
+    /// [`ClusterScratch::cluster`], for callers that produced the
+    /// signatures in a fused hash-and-norm sweep (see
+    /// [`crate::FusedPanelSource`]; the executors' only clustering entry
+    /// point). When `sigs` and `tau` are bit-identical to what
+    /// [`ClusterScratch::cluster`] would compute (the fused source
+    /// guarantees this), the resulting clustering matches it exactly.
     ///
     /// # Errors
     ///
@@ -421,7 +422,7 @@ impl ClusterScratch {
     }
 
     /// The single-pass leader walk over `self.sigs` — shared by the
-    /// staged and presigned entry points. Telemetry span: `lsh.group`.
+    /// hashing and presigned entry points. Telemetry span: `lsh.group`.
     fn group(&mut self, data: &[f32], n: usize, l: usize, tau: f32) {
         let _group = greuse_telemetry::span!("lsh.group");
         let row = |i: usize| &data[i * l..(i + 1) * l];
@@ -465,44 +466,6 @@ impl ClusterScratch {
             self.sizes[c] += 1;
             self.assignments.push(c);
         }
-    }
-
-    /// Quantized entry point: clusters `n` rows of `u8` activation codes
-    /// by dequantizing them on the fly (`real = scale · (q - zp)`) into
-    /// an internal buffer and running [`ClusterScratch::cluster`] on the
-    /// result — hashing, threshold refinement, and grouping all operate
-    /// on exactly the values the f32 pipeline would see after
-    /// quantization noise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when `data.len()` differs
-    /// from `n * family.l()`.
-    pub fn cluster_q8(
-        &mut self,
-        data: &[u8],
-        n: usize,
-        params: &ActQuantParams,
-        family: &HashFamily,
-    ) -> Result<(), TensorError> {
-        let l = family.l();
-        if data.len() != n * l {
-            return Err(TensorError::ShapeMismatch {
-                op: "ClusterScratch::cluster_q8",
-                expected: vec![n, l],
-                actual: vec![data.len()],
-            });
-        }
-        if self.deq.len() < n * l {
-            self.deq.resize(n * l, 0.0);
-        }
-        let mut deq = std::mem::take(&mut self.deq);
-        for (d, &q) in deq[..n * l].iter_mut().zip(data) {
-            *d = params.dequantize(q);
-        }
-        let result = self.cluster(&deq[..n * l], n, family);
-        self.deq = deq;
-        result
     }
 
     /// Number of vectors in the last clustering.
@@ -762,30 +725,6 @@ mod tests {
         scratch.cluster(&[0.5; 10], 2, &family).unwrap();
         let mut out = vec![0.0; 4];
         assert!(scratch.centroids_into(&[0.5; 10], 5, &mut out).is_err());
-    }
-
-    #[test]
-    fn cluster_q8_matches_clustering_dequantized_floats() {
-        use greuse_tensor::quantize_u8_into;
-        let mut rng = SmallRng::seed_from_u64(31);
-        let family = HashFamily::random(8, 6, &mut rng);
-        let n = 40usize;
-        let x = Tensor::random(
-            &[n, 6],
-            &rand::distributions::Uniform::new(-1.5f32, 1.5),
-            &mut rng,
-        );
-        let params = ActQuantParams::from_data(x.as_slice()).unwrap();
-        let mut q = vec![0u8; n * 6];
-        quantize_u8_into(x.as_slice(), &params, &mut q);
-        let deq: Vec<f32> = q.iter().map(|&v| params.dequantize(v)).collect();
-
-        let mut a = ClusterScratch::new();
-        a.cluster(&deq, n, &family).unwrap();
-        let mut b = ClusterScratch::new();
-        b.cluster_q8(&q, n, &params, &family).unwrap();
-        assert_eq!(a.assignments(), b.assignments());
-        assert_eq!(a.sizes(), b.sizes());
     }
 
     #[test]

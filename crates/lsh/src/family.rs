@@ -4,7 +4,7 @@ use rand::Rng;
 use rand_distr_shim::StandardNormal;
 use serde::{Deserialize, Serialize};
 
-use greuse_tensor::{gemm_bt_f32_into_with, ActQuantParams, GemmScratch, Tensor, TensorError};
+use greuse_tensor::{gemm_bt_f32_into_with, GemmScratch, Tensor, TensorError};
 
 use crate::pca::top_principal_directions;
 
@@ -225,50 +225,6 @@ impl HashFamily {
         Ok(out)
     }
 
-    /// Quantized variant of [`HashFamily::hash_rows_into`]: hashes `n`
-    /// rows of `u8` activation codes by dequantizing them on the fly
-    /// (`real = scale · (q - zp)`) into a scratch buffer and running the
-    /// same batched projection.
-    ///
-    /// Signatures are **bit-identical** to dequantizing the rows yourself
-    /// and calling [`HashFamily::hash_rows_into`] — the dequantization
-    /// here is the same per-element affine map, so the projection sees
-    /// bit-equal inputs. (Since the scale is positive and uniform it
-    /// cannot flip a sign, so the signature structure of the quantized
-    /// blocks matches the f32 pipeline's up to quantization noise around
-    /// each hyperplane.)
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when `x.len() != n * L`.
-    pub fn hash_rows_q8_into(
-        &self,
-        x: &[u8],
-        params: &ActQuantParams,
-        n: usize,
-        out: &mut Vec<Signature>,
-        scratch: &mut SigScratch,
-    ) -> Result<(), TensorError> {
-        let l = self.l();
-        if x.len() != n * l {
-            return Err(TensorError::ShapeMismatch {
-                op: "HashFamily::hash_rows_q8_into",
-                expected: vec![n, l],
-                actual: vec![x.len()],
-            });
-        }
-        if scratch.deq.len() < n * l {
-            scratch.deq.resize(n * l, 0.0);
-        }
-        let mut deq = std::mem::take(&mut scratch.deq);
-        for (d, &q) in deq[..n * l].iter_mut().zip(x) {
-            *d = params.dequantize(q);
-        }
-        let result = self.hash_rows_into(&deq[..n * l], n, out, scratch);
-        scratch.deq = deq;
-        result
-    }
-
     /// MAC count of hashing `n` vectors (the clustering overhead charged by
     /// the latency model).
     pub fn hashing_macs(&self, n: usize) -> u64 {
@@ -283,8 +239,6 @@ impl HashFamily {
 pub struct SigScratch {
     dots: Vec<f32>,
     gemm: GemmScratch,
-    /// Dequantized-row staging for [`HashFamily::hash_rows_q8_into`].
-    deq: Vec<f32>,
 }
 
 impl SigScratch {
@@ -395,43 +349,6 @@ mod tests {
                 .unwrap();
             assert_eq!(out, per_row, "H={h} L={l} n={n} (into)");
         }
-    }
-
-    #[test]
-    fn quantized_hash_identical_to_hashing_dequantized() {
-        use greuse_tensor::quantize_u8_into;
-        let mut rng = SmallRng::seed_from_u64(23);
-        for &(h, l, n) in &[(8usize, 16usize, 33usize), (17, 5, 9), (64, 48, 20)] {
-            let f = HashFamily::random(h, l, &mut rng);
-            let x = Tensor::random(
-                &[n, l],
-                &rand::distributions::Uniform::new(-2.0f32, 2.0),
-                &mut rng,
-            );
-            let params = ActQuantParams::from_data(x.as_slice()).unwrap();
-            let mut q = vec![0u8; n * l];
-            quantize_u8_into(x.as_slice(), &params, &mut q);
-            let deq: Vec<f32> = q.iter().map(|&v| params.dequantize(v)).collect();
-
-            let mut scratch = SigScratch::new();
-            let (mut want, mut got) = (Vec::new(), Vec::new());
-            f.hash_rows_into(&deq, n, &mut want, &mut scratch).unwrap();
-            f.hash_rows_q8_into(&q, &params, n, &mut got, &mut scratch)
-                .unwrap();
-            assert_eq!(got, want, "H={h} L={l} n={n}");
-        }
-    }
-
-    #[test]
-    fn quantized_hash_validates_shapes() {
-        let mut rng = SmallRng::seed_from_u64(24);
-        let f = HashFamily::random(4, 6, &mut rng);
-        let params = ActQuantParams::from_range(-1.0, 1.0).unwrap();
-        let mut scratch = SigScratch::new();
-        let mut out = Vec::new();
-        assert!(f
-            .hash_rows_q8_into(&[0u8; 11], &params, 2, &mut out, &mut scratch)
-            .is_err());
     }
 
     #[test]

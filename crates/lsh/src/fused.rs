@@ -1,43 +1,43 @@
-//! The fused materialize-and-hash panel source.
+//! The fused hash-and-norm panel source: the one way the executors hash.
 //!
-//! The staged pipeline walks every panel three times: once to gather the
-//! neuron vectors into the unit buffer, once to hash them (a packed
-//! projection GEMM), and once more inside the norm scan that sizes the
-//! refinement radius. [`FusedPanelSource`] collapses those walks into
-//! **one sweep**: the executor streams each unit's elements through
-//! [`FusedPanelSource::feed`] *as it materializes them*, and the source
-//! accumulates the `H` projection lanes and the f64 norm total on the
-//! fly. When the panel ends, the signatures and refinement threshold are
-//! ready without ever re-reading the activation data.
+//! Clustering a panel needs each unit's signature (a projection onto `H`
+//! hash vectors) and the panel's mean unit norm (which sizes the
+//! refinement radius). [`ClusterScratch::cluster`] computes them in two
+//! more walks over the units after they are gathered: a packed
+//! projection GEMM, then a norm scan. [`FusedPanelSource`] does both in
+//! **one sweep** over the freshly gathered, cache-hot panel
+//! ([`FusedPanelSource::feed_rows`]), accumulating the `H` projection
+//! lanes and the f64 norm total unit by unit. The signatures and the
+//! refinement radius then go to [`ClusterScratch::cluster_presigned`].
 //!
-//! Everything is **bit-identical** to the staged path by construction:
+//! Everything is **bit-identical** to [`ClusterScratch::cluster`], which
+//! stays as the reference the tests compare against:
 //!
 //! * each projection lane accumulates `v · vt[k]` in strictly ascending
 //!   element order from `0.0` with separate multiply and add — exactly
 //!   the op sequence of [`HashFamily::hash`]'s per-row fold and of the
 //!   packed [`HashFamily::hash_rows_into`] projection;
-//! * the norm total replicates the staged `mean_norm_rows` scan: per-unit
+//! * the norm total replicates the reference `mean_norm_rows` scan: per-unit
 //!   `f64` sum of squares in element order, square root, `f64` sum over
 //!   units in order, divided by the count and truncated to `f32`;
 //! * grouping runs through [`ClusterScratch::cluster_presigned`], the
-//!   same single-pass leader walk the staged [`ClusterScratch::cluster`]
-//!   uses.
+//!   same single-pass leader walk [`ClusterScratch::cluster`] uses.
 //!
 //! All buffers are grow-only, so per-panel reuse at steady shapes is
 //! allocation-free.
-
-use greuse_tensor::TensorError;
+//!
+//! [`ClusterScratch::cluster`]: crate::ClusterScratch::cluster
+//! [`ClusterScratch::cluster_presigned`]: crate::ClusterScratch::cluster_presigned
 
 use crate::cluster::refine_threshold;
 use crate::family::{HashFamily, Signature};
 
 /// Streaming hash/norm accumulator for one panel of neuron vectors.
 ///
-/// Lifecycle per panel: [`FusedPanelSource::begin_panel`], then for each
-/// unit a series of [`FusedPanelSource::feed`] calls covering exactly
-/// `dim` elements followed by one [`FusedPanelSource::finish_unit`] (or
-/// whole units at once through [`FusedPanelSource::feed_rows`]); finally read
-/// [`FusedPanelSource::signatures`] and [`FusedPanelSource::tau`].
+/// Lifecycle per panel: [`FusedPanelSource::begin_panel`], then the
+/// panel's units through [`FusedPanelSource::feed_rows`] (in one call or
+/// several, in unit order); finally read [`FusedPanelSource::signatures`]
+/// and [`FusedPanelSource::tau`].
 #[derive(Debug, Default)]
 pub struct FusedPanelSource {
     /// `L x H` transposed copy of the family matrix, so the per-element
@@ -50,7 +50,7 @@ pub struct FusedPanelSource {
     lanes: Vec<f32>,
     /// Completed signatures, in unit order.
     sigs: Vec<Signature>,
-    /// Running `f64` sum of completed unit norms (staged scan order).
+    /// Running `f64` sum of completed unit norms (reference scan order).
     norm_total: f64,
     /// Running `f64` sum of squares of the unit in flight.
     sumsq: f64,
@@ -68,7 +68,7 @@ impl FusedPanelSource {
 
     /// Pre-sizes the internal buffers for panels of up to `units` units
     /// of length `dim` under `h` hash functions, so later
-    /// [`FusedPanelSource::begin_panel`]/[`FusedPanelSource::feed`]
+    /// [`FusedPanelSource::begin_panel`]/[`FusedPanelSource::feed_rows`]
     /// sweeps allocate nothing — the workspace-prepare hook behind the
     /// executors' zero-allocation steady state.
     pub fn reserve(&mut self, h: usize, dim: usize, units: usize) {
@@ -110,11 +110,10 @@ impl FusedPanelSource {
         self.units = 0;
     }
 
-    /// Streams the next `vals.len()` elements of the current unit (the
-    /// caller has just materialized them into its own unit buffer).
-    /// Elements must arrive in ascending unit order across calls.
+    /// Streams the next `vals.len()` elements of the current unit: the
+    /// scalar tier of [`FusedPanelSource::feed_rows`].
     #[inline]
-    pub fn feed(&mut self, vals: &[f32]) {
+    fn feed(&mut self, vals: &[f32]) {
         let h = self.h;
         debug_assert!(self.fed + vals.len() <= self.dim, "unit overflow");
         let mut base = self.fed * h;
@@ -131,9 +130,9 @@ impl FusedPanelSource {
 
     /// Streams `n` complete units (each `dim` contiguous elements of
     /// `rows`) through the sweep in one batched call — the executor
-    /// entry point once a whole panel has been materialized. Equivalent
-    /// to `feed(row); finish_unit()` per unit, and **bit-identical** to
-    /// that sequence: the AVX2 tier interleaves four units per pass (to
+    /// entry point once a panel has been materialized. The scalar tier
+    /// folds each unit element by element; the AVX2 tier is
+    /// **bit-identical** to it: it interleaves four units per pass (to
     /// hide the latency of each unit's sequential `f64` norm chain) but
     /// keeps every unit's lane and norm accumulation in exactly the
     /// scalar per-unit order, and unit results are committed in unit
@@ -141,11 +140,14 @@ impl FusedPanelSource {
     ///
     /// # Panics
     ///
-    /// Debug-asserts that no unit is in flight and that `rows` holds
-    /// exactly `n` units.
+    /// Panics unless `rows` holds exactly `n` units of the armed family's
+    /// length.
     pub fn feed_rows(&mut self, rows: &[f32], n: usize) {
-        debug_assert_eq!(self.fed, 0, "feed_rows only at a unit boundary");
-        debug_assert_eq!(rows.len(), n * self.dim);
+        assert_eq!(
+            rows.len(),
+            n * self.dim,
+            "feed_rows: rows must hold n units"
+        );
         if self.dim == 0 {
             for _ in 0..n {
                 self.finish_unit();
@@ -156,7 +158,9 @@ impl FusedPanelSource {
         let mut done = 0;
         #[cfg(target_arch = "x86_64")]
         if self.h <= 8 && std::arch::is_x86_feature_detected!("avx2") {
-            // Safety: AVX2 detected; the kernel only reads in bounds.
+            // SAFETY: AVX2 is detected, and `rows` holds `n` units of
+            // `dim` elements (asserted above), which bounds every read of
+            // the kernel.
             done = unsafe { self.feed_rows_avx2_h8(rows, n) };
         }
         for row in rows[done * self.dim..n * self.dim].chunks_exact(self.dim) {
@@ -171,6 +175,12 @@ impl FusedPanelSource {
     /// YMM, and `VSQRTPD` is IEEE-exact like `f64::sqrt` — so every
     /// per-unit operation sequence matches the scalar tier bit for bit.
     /// Returns the number of units consumed (a multiple of 4).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, `rows` must hold at least `n * dim`
+    /// elements, and a panel with `H <= 8` must be armed (so `vt8` holds
+    /// `8 * dim` coefficients).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn feed_rows_avx2_h8(&mut self, rows: &[f32], n: usize) -> usize {
@@ -235,7 +245,7 @@ impl FusedPanelSource {
     ///
     /// Debug-asserts that exactly `dim` elements were fed.
     #[inline]
-    pub fn finish_unit(&mut self) {
+    fn finish_unit(&mut self) {
         debug_assert_eq!(self.fed, self.dim, "unit incomplete");
         let mut bits = 0u64;
         for (i, &d) in self.lanes.iter().enumerate() {
@@ -258,7 +268,7 @@ impl FusedPanelSource {
     }
 
     /// Mean Euclidean norm of the completed units — bit-identical to the
-    /// staged norm scan over the same vectors.
+    /// reference norm scan over the same vectors.
     pub fn mean_norm(&self) -> f32 {
         if self.units == 0 {
             return 0.0;
@@ -276,42 +286,40 @@ impl FusedPanelSource {
     pub fn num_units(&self) -> usize {
         self.units
     }
-
-    /// Drives a full fused sweep over `n` contiguous rows of `data`
-    /// (each `family.l()` long) — the batched convenience used by tests
-    /// and callers that already hold materialized rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when `data.len()` differs
-    /// from `n * family.l()`.
-    pub fn sweep_rows(
-        &mut self,
-        data: &[f32],
-        n: usize,
-        family: &HashFamily,
-    ) -> Result<(), TensorError> {
-        let l = family.l();
-        if data.len() != n * l {
-            return Err(TensorError::ShapeMismatch {
-                op: "FusedPanelSource::sweep_rows",
-                expected: vec![n, l],
-                actual: vec![data.len()],
-            });
-        }
-        self.begin_panel(family);
-        self.feed_rows(data, n);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::{cluster_rows, ClusterScratch};
-    use greuse_tensor::{dequantize_u8_slice, quantize_u8_into, ActQuantParams, Tensor};
+    use greuse_tensor::{
+        dequantize_u8_slice, quantize_u8_into, ActQuantParams, Tensor, TensorError,
+    };
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    impl FusedPanelSource {
+        /// A full sweep over `n` contiguous rows of `data`, each
+        /// `family.l()` long.
+        fn sweep_rows(
+            &mut self,
+            data: &[f32],
+            n: usize,
+            family: &HashFamily,
+        ) -> Result<(), TensorError> {
+            let l = family.l();
+            if data.len() != n * l {
+                return Err(TensorError::ShapeMismatch {
+                    op: "FusedPanelSource::sweep_rows",
+                    expected: vec![n, l],
+                    actual: vec![data.len()],
+                });
+            }
+            self.begin_panel(family);
+            self.feed_rows(data, n);
+            Ok(())
+        }
+    }
 
     #[test]
     fn fused_signatures_bit_identical_to_staged() {
@@ -404,11 +412,14 @@ mod tests {
         let mut q = vec![0u8; n * 12];
         quantize_u8_into(x.as_slice(), &params, &mut q);
 
-        let mut staged = ClusterScratch::new();
-        staged.cluster_q8(&q, n, &params, &family).unwrap();
+        // Reference: the per-element dequantization, clustered by the
+        // reference clusterer.
+        let want: Vec<f32> = q.iter().map(|&v| params.dequantize(v)).collect();
+        let mut reference = ClusterScratch::new();
+        reference.cluster(&want, n, &family).unwrap();
 
-        // The int8 sweep's path: dequantize the panel's codes, then
-        // stream the dequantized units.
+        // The int8 sweep's path: dequantize the panel's codes in one
+        // vectorized pass, then stream the dequantized units.
         let mut deq = vec![0.0f32; n * 12];
         dequantize_u8_slice(&q, params.scale, params.zero_point, &mut deq);
         let mut src = FusedPanelSource::new();
@@ -418,8 +429,8 @@ mod tests {
         fused
             .cluster_presigned(&deq, n, 12, src.signatures(), src.tau())
             .unwrap();
-        assert_eq!(fused.assignments(), staged.assignments());
-        assert_eq!(fused.sizes(), staged.sizes());
+        assert_eq!(fused.assignments(), reference.assignments());
+        assert_eq!(fused.sizes(), reference.sizes());
     }
 
     #[test]
