@@ -10,6 +10,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc stays warning-free (broken or private intra-doc links, ambiguous
+# or redundant link targets). `--lib` skips the CLI binary, whose doc
+# output would collide with the `greuse` library's (both are `greuse`).
+echo "==> rustdoc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --lib
+
 echo "==> cargo test"
 cargo test -q --workspace
 

@@ -1,6 +1,6 @@
 //! Rendering for the whole-network reproduction sweep: the human-facing
 //! `RESULTS.md` and the machine-facing `BENCH_network.json` (schema-v1
-//! [`BenchRecord`](crate::record::BenchRecord) envelope, diffable with
+//! [`crate::record::BenchRecord`] envelope, diffable with
 //! `greuse bench-compare`).
 
 use greuse::workflow::reproduce::{ReproduceReport, BOARDS};

@@ -223,10 +223,11 @@ impl BatchExecutor {
         BatchExecutor::default()
     }
 
-    /// Enables (or disables) the cross-call [`crate::exec::ReuseCache`]
-    /// on every thread-local workspace this executor drives. The flag is
-    /// applied inside each task, so it reaches whichever pool thread
-    /// claims an image; a workspace already in the requested state is
+    /// Enables (or disables) the cross-call reuse cache (see
+    /// [`crate::exec::ExecWorkspace::set_temporal_cache`]) on every
+    /// thread-local workspace this executor drives. The flag is applied
+    /// inside each task, so it reaches whichever pool thread claims an
+    /// image; a workspace already in the requested state is
     /// left untouched (toggling resets its cache). With the cache on and
     /// a single batcher thread, panel clusterings survive *across*
     /// batches — the serve layer's cross-request reuse. Off by default:

@@ -47,6 +47,8 @@ struct QKey {
     k: usize,
     m: usize,
     pattern: Option<ReusePattern>,
+    /// [`weights_fingerprint`] of the weights the codes were made from.
+    weights: u64,
 }
 
 impl QKey {
@@ -57,12 +59,14 @@ impl QKey {
         k: usize,
         m: usize,
         pattern: Option<&ReusePattern>,
+        weights: u64,
     ) -> bool {
         self.layer == layer
             && self.n == n
             && self.k == k
             && self.m == m
             && self.pattern.as_ref() == pattern
+            && self.weights == weights
     }
 
     /// Whether this entry occupies the slot a call of `layer` under
@@ -72,6 +76,23 @@ impl QKey {
     fn same_slot(&self, layer: &str, pattern: Option<&ReusePattern>) -> bool {
         self.layer == layer && self.pattern.is_some() == pattern.is_some()
     }
+}
+
+/// Content fingerprint of a weight tensor: its length mixed with the bit
+/// patterns of up to 64 evenly strided elements. It keys an entry's
+/// weight codes on the weights themselves, so a second tensor of the same
+/// shape under a known layer name rebuilds the entry instead of computing
+/// with the first tensor's codes. The address is deliberately not used:
+/// a caller may pass a fresh copy of the same weights on every call.
+fn weights_fingerprint(w: &[f32]) -> u64 {
+    const SAMPLES: usize = 64;
+    let stride = (w.len() / SAMPLES).max(1);
+    w.iter()
+        .step_by(stride)
+        .take(SAMPLES)
+        .fold(w.len() as u64, |h, v| {
+            (h.rotate_left(23) ^ u64::from(v.to_bits())).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        })
 }
 
 /// Layer-resident int8 state, built once per key: the quantized weights
@@ -105,6 +126,7 @@ impl QLayer {
     fn new(
         layer: &str,
         w: &Tensor<f32>,
+        weights: u64,
         n: usize,
         pattern: Option<&ReusePattern>,
         temporal_cache: bool,
@@ -133,6 +155,7 @@ impl QLayer {
                 k,
                 m,
                 pattern: pattern.copied(),
+                weights,
             },
             w_q,
             w_scale,
@@ -174,9 +197,11 @@ fn panel_major(w_q: &[i8], m: usize, k: usize, l: usize) -> Vec<i8> {
 /// grows, so the workspace reaches a zero-allocation steady state once
 /// every layer has run (with a data-independent hash provider).
 ///
-/// Weight quantization is cached on the key: the workspace assumes a
-/// layer's weights are stable across calls, matching the per-layer
-/// family cache.
+/// Weight quantization is cached on the key, which includes a sampled
+/// fingerprint of the weights: other weights under a known layer name
+/// and shape rebuild the entry. The fingerprint reads 64 strided
+/// elements, so two tensors that differ only between the samples still
+/// share an entry; a layer's weights are assumed stable across calls.
 #[derive(Debug, Default)]
 pub struct QuantWorkspace {
     /// Layer-resident state, at most one entry per layer name and mode.
@@ -259,12 +284,13 @@ impl QuantWorkspace {
         }
 
         let temporal_cache = self.temporal_cache;
+        let weights = weights_fingerprint(w.as_slice());
         self.active = select_entry(
             &mut self.layers,
             self.active,
-            |s| s.key.is(layer, n, k, m, pattern),
+            |s| s.key.is(layer, n, k, m, pattern, weights),
             |s| s.key.same_slot(layer, pattern),
-            || QLayer::new(layer, w, n, pattern, temporal_cache),
+            || QLayer::new(layer, w, weights, n, pattern, temporal_cache),
         )?;
         Ok(())
     }

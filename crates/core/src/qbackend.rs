@@ -11,7 +11,7 @@ mod tests {
     use crate::hash_provider::RandomHashProvider;
     use crate::pattern::ReusePattern;
     use crate::QuantizedBackend;
-    use greuse_nn::{models::CifarNet, DenseBackend, Network};
+    use greuse_nn::{models::CifarNet, ConvBackend, DenseBackend, Network};
     use greuse_tensor::Tensor;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -88,6 +88,23 @@ mod tests {
         })
         .unwrap();
         assert_eq!(backend.layer_stats("conv1").unwrap().calls, 8);
+    }
+
+    #[test]
+    fn other_weights_under_a_known_layer_name_rebuild_the_codes() {
+        let (net, image) = net_and_image();
+        let backend = QuantizedBackend::new(RandomHashProvider::new(7));
+        // A synthetic GEMM named and shaped like CifarNet's conv1
+        // (1024 x 75 x 64) but with other weights runs first, so the
+        // forward's conv1 finds an entry of its name and shape.
+        let x = Tensor::from_fn(&[1024, 75], |i| (i as f32 * 0.13).sin());
+        let w = Tensor::from_fn(&[64, 75], |i| (i as f32 * 0.29).cos());
+        backend
+            .conv_gemm("conv1", &CifarNet::conv1_spec(), &x, &w)
+            .unwrap();
+        let got = net.forward(&image, &backend).unwrap();
+        let fresh = QuantizedBackend::new(RandomHashProvider::new(7));
+        assert_eq!(got, net.forward(&image, &fresh).unwrap());
     }
 
     #[test]

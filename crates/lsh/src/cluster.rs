@@ -2,47 +2,10 @@
 //! redundancy-ratio bookkeeping used by the paper's latency model.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use greuse_tensor::{Tensor, TensorError};
 
 use crate::family::{HashFamily, SigScratch, Signature};
-
-/// Multiplicative hasher for [`Signature`] bucket keys.
-///
-/// The default SipHash is keyed and DoS-resistant but costs tens of
-/// nanoseconds per lookup — measurable when every neuron block of every
-/// panel probes the bucket map. Signatures are at most 64 bits of
-/// sign-projection output produced from the data itself, so a
-/// Fibonacci-multiply mix is enough spread and an order of magnitude
-/// cheaper. Only lookups/inserts ever touch the map (iteration order is
-/// never observed), so swapping the hasher cannot change clustering
-/// results.
-#[derive(Debug, Default, Clone)]
-pub struct SigHasher(u64);
-
-impl Hasher for SigHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        let x = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = x ^ (x >> 29);
-    }
-}
-
-/// [`std::hash::BuildHasher`] for [`SigHasher`]-keyed maps.
-pub type SigBuildHasher = BuildHasherDefault<SigHasher>;
 
 /// Result of clustering `n` vectors: an assignment of each vector to a
 /// cluster, cluster sizes, and per-cluster member lists.
@@ -192,29 +155,63 @@ pub fn refine_threshold(mean_norm: f32, h: usize) -> f32 {
     REFINE_FACTOR * mean_norm / h.max(1) as f32
 }
 
+/// Kernel tier of the refinement distance, chosen once per clustering
+/// call: AVX2 when the CPU has it, portable otherwise. Tests force
+/// `Portable` to drive the scalar tier on AVX2 hosts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Tier {
+    Avx2,
+    Portable,
+}
+
+impl Tier {
+    fn detect() -> Tier {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Tier::Avx2;
+        }
+        Tier::Portable
+    }
+}
+
 /// Squared Euclidean distance between two equal-length vectors — the
 /// scatter-refinement leader test.
 ///
-/// The AVX2 tier reduces in 8 lanes, so the summation *order* differs
-/// from the scalar fold. The distance is only ever compared against the
-/// refinement radius `tau²` (it never enters the output arithmetic), and
-/// every clustering entry point — the scratch reference, presigned/fused,
-/// and the allocating reference — shares this one function, so all paths still
-/// agree with each other exactly; only vectors sitting within float
-/// reassociation error of the radius could cluster differently than
-/// under the scalar fold (for exact duplicates every term is zero in any
-/// order).
-fn dist2(a: &[f32], b: &[f32]) -> f32 {
+/// The summation order is fixed per tier, and every leader comparison of
+/// every clustering entry point reproduces it exactly (the blocked walk's
+/// tile kernels included), so all paths agree bit for bit:
+///
+/// * AVX2 with `L >= 8`: eight lane partials, lane `j` summing the terms
+///   `t ≡ j (mod 8)` of the 8-aligned body in order, reduced as
+///   `((p0+p4)+(p2+p6)) + ((p1+p5)+(p3+p7))`, then the scalar tail
+///   terms added in order;
+/// * otherwise (portable tier, or `L < 8`): a sequential fold from `0.0`.
+///
+/// Every term is a separate subtract, multiply and add (never an FMA).
+/// The distance is only compared against the refinement radius `tau²`
+/// (it never enters the output arithmetic); the two tiers can disagree
+/// only for vectors within float reassociation error of the radius, and
+/// exact duplicates are at distance zero in any order.
+#[inline]
+fn dist2(tier: Tier, a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "dist2: vectors of unequal length");
     #[cfg(target_arch = "x86_64")]
-    if a.len() >= 8 && std::arch::is_x86_feature_detected!("avx2") {
-        // Safety: AVX2 detected; the kernel only reads in bounds.
+    if tier == Tier::Avx2 && a.len() >= 8 {
+        // SAFETY: AVX2 was detected when `tier` was chosen, and `b` is as
+        // long as `a` (asserted above), which bounds every read.
         return unsafe { dist2_avx2(a, b) };
     }
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+    let _ = tier;
+    a.iter().zip(b).fold(0.0, |s, (x, y)| s + (x - y) * (x - y))
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2 and `b` must be at least as long as `a`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[inline]
 unsafe fn dist2_avx2(a: &[f32], b: &[f32]) -> f32 {
     use std::arch::x86_64::*;
     let n = a.len();
@@ -240,14 +237,98 @@ unsafe fn dist2_avx2(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
+/// Leaders per tile of the blocked walk (one AVX2 register of lanes).
+const LANES: usize = 8;
+
+/// One element of each of a tile's [`LANES`] leaders, aligned so the
+/// AVX2 kernel loads it as one aligned register.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(32))]
+struct Lanes([f32; LANES]);
+
+/// Bitmask of the lanes of a transposed leader tile (`tile[t].0[lane]`
+/// holds element `t` of lane `lane`'s leader) whose [`dist2`] to `x` is
+/// within `tau2`, computed for all eight lanes in one pass. Each lane
+/// reproduces [`dist2`]'s summation order for `tier` exactly, so the
+/// first set bit is the leader the one-at-a-time scan would have chosen.
+#[inline]
+fn tile_within(tier: Tier, tile: &[Lanes], x: &[f32], tau2: f32) -> u32 {
+    assert_eq!(tile.len(), x.len(), "tile_within: one tile row per element");
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx2 {
+        // SAFETY: AVX2 was detected when `tier` was chosen, and the tile
+        // has a row for every element of `x` (asserted above).
+        return unsafe { tile_within_avx2(tile, x, tau2) };
+    }
+    let _ = tier;
+    let mut acc = [0.0f32; LANES];
+    for (lanes, &xv) in tile.iter().zip(x) {
+        for (a, &lv) in acc.iter_mut().zip(&lanes.0) {
+            let d = lv - xv;
+            *a += d * d;
+        }
+    }
+    acc.iter()
+        .enumerate()
+        .fold(0, |m, (lane, &d)| m | (u32::from(d <= tau2) << lane))
+}
+
+/// AVX2 tile kernel: [`dist2_avx2`]'s order per lane — eight partial
+/// registers over `t mod 8` across the 8-aligned body, the same pairwise
+/// reduction, then the tail in order. For `L < 8` the body is empty and
+/// the reduction of eight zeros leaves the tail as a sequential fold from
+/// `0.0`, which is [`dist2`]'s order there.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and `tile` must be as long as `x`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn tile_within_avx2(tile: &[Lanes], x: &[f32], tau2: f32) -> u32 {
+    use std::arch::x86_64::*;
+    let l = x.len();
+    let tp = tile.as_ptr().cast::<f32>();
+    let xp = x.as_ptr();
+    let mut p = [_mm256_setzero_ps(); LANES];
+    let body = l & !(LANES - 1);
+    for t0 in (0..body).step_by(LANES) {
+        for (j, pj) in p.iter_mut().enumerate() {
+            let t = t0 + j;
+            let d = _mm256_sub_ps(
+                _mm256_load_ps(tp.add(t * LANES)),
+                _mm256_set1_ps(*xp.add(t)),
+            );
+            *pj = _mm256_add_ps(*pj, _mm256_mul_ps(d, d));
+        }
+    }
+    let mut sum = _mm256_add_ps(
+        _mm256_add_ps(_mm256_add_ps(p[0], p[4]), _mm256_add_ps(p[2], p[6])),
+        _mm256_add_ps(_mm256_add_ps(p[1], p[5]), _mm256_add_ps(p[3], p[7])),
+    );
+    for t in body..l {
+        let d = _mm256_sub_ps(
+            _mm256_load_ps(tp.add(t * LANES)),
+            _mm256_set1_ps(*xp.add(t)),
+        );
+        sum = _mm256_add_ps(sum, _mm256_mul_ps(d, d));
+    }
+    let within = _mm256_cmp_ps::<_CMP_LE_OQ>(sum, _mm256_set1_ps(tau2));
+    _mm256_movemask_ps(within) as u32
+}
+
 /// Single-pass leader clustering: vectors join the first cluster of their
 /// signature bucket whose leader (first member) lies within `tau`;
 /// otherwise they found a new cluster. Cluster ids are dense in global
 /// first-appearance order, matching [`Clustering::from_signatures`].
+///
+/// This is the allocating reference: one [`dist2`] call per leader, in
+/// founding order. [`ClusterScratch`]'s blocked walk is tested against it.
 fn cluster_refined<'a>(
     sigs: &[Signature],
     vector: impl Fn(usize) -> &'a [f32],
     tau: f32,
+    tier: Tier,
 ) -> Clustering {
     let tau2 = tau * tau;
     let mut buckets: HashMap<Signature, Vec<usize>> = HashMap::new();
@@ -260,7 +341,7 @@ fn cluster_refined<'a>(
         let found = ids
             .iter()
             .copied()
-            .find(|&c| dist2(vector(leaders[c]), vector(i)) <= tau2);
+            .find(|&c| dist2(tier, vector(leaders[c]), vector(i)) <= tau2);
         let c = found.unwrap_or_else(|| {
             let c = members.len();
             ids.push(c);
@@ -312,35 +393,92 @@ pub fn cluster_rows(x: &Tensor<f32>, family: &HashFamily) -> Result<Clustering, 
     }
     let sigs = family.hash_rows(x)?;
     let tau = refine_threshold(mean_norm_rows(x.rows(), |r| x.row(r)), family.h());
-    Ok(cluster_refined(&sigs, |r| x.row(r), tau))
+    Ok(cluster_refined(&sigs, |r| x.row(r), tau, Tier::detect()))
 }
 
 /// Reusable state for refined clustering without per-call allocation.
 ///
 /// [`cluster_rows`] allocates signature and member vectors on every call;
-/// a `ClusterScratch` keeps those buffers (and the signature-bucket map)
-/// alive between calls, so repeated clustering of equally-sized inputs
-/// reaches a zero-allocation steady state. The algorithm is *identical*
-/// to [`cluster_rows`] — same signatures, same scatter threshold, same
+/// a `ClusterScratch` keeps those buffers (and the bucket table) alive
+/// between calls, so repeated clustering of equally-sized inputs reaches
+/// a zero-allocation steady state. The algorithm is *identical* to
+/// [`cluster_rows`] — same signatures, same scatter threshold, same
 /// single-pass leader scan in the same order — so assignments and cluster
 /// counts match the allocating path bit for bit.
 ///
-/// Buckets are kept as a signature → head-cluster map plus an intrusive
-/// `chain` of cluster ids, replacing the `Vec<usize>` per bucket of the
-/// allocating path (one heap block per bucket) with two flat arrays.
+/// The walk is laid out for the distance test rather than per bucket:
+///
+/// * buckets live in a flat open-addressed table (one slot per bucket,
+///   linear probing on a multiplicative mix of the signature), sized
+///   from `n` and invalidated per call by a generation stamp;
+/// * a bucket's first leader is compared in place, which settles a
+///   vector at the cost of one distance when its bucket holds one
+///   cluster (the common case on panels with few distinct rows);
+/// * every later leader is copied once, when it founds its cluster, into
+///   a transposed 8-lane tile of its bucket, and a vector is compared
+///   with a whole tile in one pass; the first lane within the radius
+///   wins. Lanes and tiles follow founding order, and each lane
+///   reproduces the one-at-a-time distance's summation order exactly, so
+///   the first match is the one the allocating path's scan finds.
 #[derive(Debug, Default)]
 pub struct ClusterScratch {
+    /// Signatures computed by [`ClusterScratch::cluster`].
     sigs: Vec<Signature>,
     sig_scratch: SigScratch,
-    buckets: HashMap<Signature, usize, SigBuildHasher>,
-    chain: Vec<usize>,
+    /// Bucket table; the walk uses its first `table_len(n)` slots.
+    table: Vec<Slot>,
+    /// Generation of the current walk: a slot is live iff its stamp
+    /// equals this (never 0 during a walk, so fresh slots are empty).
+    stamp: u32,
+    tiles: Vec<Tile>,
+    /// Tile elements, `l` per tile, transposed (element `t` of every
+    /// lane's leader in `tile_data[tile * l + t]`).
+    tile_data: Vec<Lanes>,
     leaders: Vec<usize>,
     assignments: Vec<usize>,
     sizes: Vec<usize>,
 }
 
-/// End-of-chain marker for [`ClusterScratch::chain`].
+/// One signature bucket of [`ClusterScratch`]'s table.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    sig: u64,
+    /// Walk generation that claimed the slot.
+    stamp: u32,
+    /// The bucket's first cluster, whose leader is compared in place.
+    first: u32,
+    /// First and last tile of the bucket's later leaders (`NO_TILE` when
+    /// it has none).
+    head: u32,
+    tail: u32,
+}
+
+/// Up to [`LANES`] later leaders of one bucket, in founding order.
+#[derive(Debug, Clone, Copy)]
+struct Tile {
+    /// Cluster id of each lane.
+    ids: [u32; LANES],
+    /// Lanes in use.
+    fill: u32,
+    /// The bucket's next tile, or `NO_TILE`.
+    next: u32,
+}
+
+/// End-of-chain marker for [`Slot`] and [`Tile`] links.
+const NO_TILE: u32 = u32::MAX;
+
+/// Marks a leader not yet located by [`ClusterScratch::restore`].
 const NONE: usize = usize::MAX;
+
+/// Fibonacci-hashing multiplier (2^64 / φ): spreads the low signature
+/// bits over the high bits the table index is taken from.
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Bucket-table slots for `n` vectors: a power of two at least `2n`, so
+/// the load factor stays at or below one half.
+fn table_len(n: usize) -> usize {
+    (2 * n).next_power_of_two().max(16)
+}
 
 impl ClusterScratch {
     /// Creates an empty scratch; buffers grow on first use.
@@ -375,15 +513,17 @@ impl ClusterScratch {
                 actual: vec![data.len()],
             });
         }
+        let mut sigs = std::mem::take(&mut self.sigs);
         {
             let _hash = greuse_telemetry::span!("lsh.hash");
-            family.hash_rows_into(data, n, &mut self.sigs, &mut self.sig_scratch)?;
+            family.hash_rows_into(data, n, &mut sigs, &mut self.sig_scratch)?;
         }
         let tau = {
             let row = |i: usize| &data[i * l..(i + 1) * l];
             refine_threshold(mean_norm_rows(n, row), family.h())
         };
-        self.group(data, n, l, tau);
+        self.group(data, l, &sigs, tau, Tier::detect());
+        self.sigs = sigs;
         Ok(())
     }
 
@@ -415,56 +555,142 @@ impl ClusterScratch {
                 actual: vec![data.len(), sigs.len()],
             });
         }
-        self.sigs.clear();
-        self.sigs.extend_from_slice(sigs);
-        self.group(data, n, l, tau);
+        self.group(data, l, sigs, tau, Tier::detect());
         Ok(())
     }
 
-    /// The single-pass leader walk over `self.sigs` — shared by the
-    /// hashing and presigned entry points. Telemetry span: `lsh.group`.
-    fn group(&mut self, data: &[f32], n: usize, l: usize, tau: f32) {
+    /// The single-pass leader walk over `sigs` (one per row of `data`) —
+    /// shared by the hashing and presigned entry points. Telemetry span:
+    /// `lsh.group`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are `u32::MAX` or more rows.
+    fn group(&mut self, data: &[f32], l: usize, sigs: &[Signature], tau: f32, tier: Tier) {
         let _group = greuse_telemetry::span!("lsh.group");
+        #[cfg(target_arch = "x86_64")]
+        if tier == Tier::Avx2 {
+            // SAFETY: AVX2 was detected when `tier` was chosen.
+            return unsafe { self.walk_avx2(data, l, sigs, tau) };
+        }
+        self.walk(data, l, sigs, tau, tier);
+    }
+
+    /// [`ClusterScratch::walk`] compiled for AVX2, so the distance
+    /// kernels inline into the loop.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn walk_avx2(&mut self, data: &[f32], l: usize, sigs: &[Signature], tau: f32) {
+        self.walk(data, l, sigs, tau, Tier::Avx2);
+    }
+
+    /// The walk itself, for one `tier`; inlined into both tier entry
+    /// points so each gets its own copy of the loop.
+    #[inline(always)]
+    fn walk(&mut self, data: &[f32], l: usize, sigs: &[Signature], tau: f32, tier: Tier) {
+        let n = sigs.len();
+        assert!(n < NO_TILE as usize, "ClusterScratch: too many vectors");
+        debug_assert_eq!(data.len(), n * l);
         let row = |i: usize| &data[i * l..(i + 1) * l];
         let tau2 = tau * tau;
-        self.buckets.clear();
-        self.chain.clear();
-        self.leaders.clear();
-        self.sizes.clear();
-        self.assignments.clear();
-        for i in 0..n {
-            let s = self.sigs[i];
-            let c = match self.buckets.entry(s) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let c = self.leaders.len();
-                    e.insert(c);
-                    self.leaders.push(i);
-                    self.chain.push(NONE);
-                    self.sizes.push(0);
-                    c
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    // Walk the bucket's clusters in founding order — the
-                    // same order the allocating path scans its id list.
-                    let mut c = *e.get();
-                    loop {
-                        if dist2(row(self.leaders[c]), row(i)) <= tau2 {
-                            break c;
-                        }
-                        if self.chain[c] == NONE {
-                            let nc = self.leaders.len();
-                            self.chain[c] = nc;
-                            self.leaders.push(i);
-                            self.chain.push(NONE);
-                            self.sizes.push(0);
-                            break nc;
-                        }
-                        c = self.chain[c];
+        let cap = table_len(n);
+        if self.table.len() < cap {
+            self.table.resize(cap, Slot::default());
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.table.iter_mut().for_each(|s| s.stamp = 0);
+            self.stamp = 1;
+        }
+        let ClusterScratch {
+            table,
+            stamp,
+            tiles,
+            tile_data,
+            leaders,
+            assignments,
+            sizes,
+            ..
+        } = self;
+        let (table, stamp) = (&mut table[..cap], *stamp);
+        let shift = 64 - cap.trailing_zeros();
+        tiles.clear();
+        leaders.clear();
+        sizes.clear();
+        assignments.clear();
+        for (i, &sig) in sigs.iter().enumerate() {
+            let x = row(i);
+            let mut at = (sig.0.wrapping_mul(FIB) >> shift) as usize;
+            while table[at].stamp == stamp && table[at].sig != sig.0 {
+                at = (at + 1) & (cap - 1);
+            }
+            let slot = &mut table[at];
+            let c = if slot.stamp != stamp {
+                *slot = Slot {
+                    sig: sig.0,
+                    stamp,
+                    first: leaders.len() as u32,
+                    head: NO_TILE,
+                    tail: NO_TILE,
+                };
+                leaders.len()
+            } else if dist2(tier, row(leaders[slot.first as usize]), x) <= tau2 {
+                slot.first as usize
+            } else {
+                // Later leaders, tile by tile in founding order.
+                let mut found = None;
+                let mut t = slot.head;
+                while t != NO_TILE {
+                    let tile = &tiles[t as usize];
+                    let lanes = &tile_data[t as usize * l..][..l];
+                    let hits = tile_within(tier, lanes, x, tau2) & ((1 << tile.fill) - 1);
+                    if hits != 0 {
+                        found = Some(tile.ids[hits.trailing_zeros() as usize] as usize);
+                        break;
                     }
+                    t = tile.next;
                 }
+                found.unwrap_or_else(|| {
+                    // `x` founds a cluster: copy it into the bucket's
+                    // last tile, opening a new one when that is full.
+                    let c = leaders.len();
+                    if slot.tail == NO_TILE || tiles[slot.tail as usize].fill == LANES as u32 {
+                        let t = tiles.len() as u32;
+                        tiles.push(Tile {
+                            ids: [0; LANES],
+                            fill: 0,
+                            next: NO_TILE,
+                        });
+                        match slot.tail {
+                            NO_TILE => slot.head = t,
+                            tail => tiles[tail as usize].next = t,
+                        }
+                        slot.tail = t;
+                        if tile_data.len() < tiles.len() * l {
+                            tile_data.resize(tiles.len() * l, Lanes::default());
+                        }
+                    }
+                    let tile = &mut tiles[slot.tail as usize];
+                    let lane = tile.fill as usize;
+                    tile.ids[lane] = c as u32;
+                    tile.fill += 1;
+                    let lanes = &mut tile_data[slot.tail as usize * l..][..l];
+                    for (dst, &v) in lanes.iter_mut().zip(x) {
+                        dst.0[lane] = v;
+                    }
+                    c
+                })
             };
-            self.sizes[c] += 1;
-            self.assignments.push(c);
+            if c == leaders.len() {
+                leaders.push(i);
+                sizes.push(0);
+            }
+            sizes[c] += 1;
+            assignments.push(c);
         }
     }
 
@@ -607,14 +833,20 @@ pub fn cluster_vectors(
         mean_norm_rows(vectors.len(), |r| vectors[r].as_slice()),
         family.h(),
     );
-    Ok(cluster_refined(&sigs, |r| vectors[r].as_slice(), tau))
+    Ok(cluster_refined(
+        &sigs,
+        |r| vectors[r].as_slice(),
+        tau,
+        Tier::detect(),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prop_assert_eq;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn sigs(v: &[u64]) -> Vec<Signature> {
         v.iter().map(|&b| Signature(b)).collect()
@@ -800,6 +1032,142 @@ mod tests {
         // Stale bucket state must not leak into the next clustering.
         scratch.cluster(&[0.5; 20], 4, &family).unwrap();
         assert_eq!(scratch.num_clusters(), 1);
+    }
+
+    /// How [`walk_rows`] draws the bulk of its rows.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Rows {
+        /// Jittered prototypes.
+        Jittered,
+        /// Small integers: distances are exact in every summation order,
+        /// so integer radii hit `dist2 == tau²` ties.
+        Integers,
+        /// Small integers with an occasional ±4096 element: a square of
+        /// 2^24 absorbs or keeps the small terms depending on when they
+        /// are added, so the summation order decides ties at
+        /// `tau = 4096`.
+        Magnitudes,
+    }
+
+    /// `n` rows of length `l` for the walk property, drawn as `rows`
+    /// says. About one row in four is a duplicate of an earlier row, all
+    /// `-0.0`, or holds a NaN or an infinity.
+    fn walk_rows(n: usize, l: usize, rows: Rows, seed: u64) -> Vec<f32> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let protos: Vec<f32> = (0..4 * l).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let mut data: Vec<f32> = Vec::with_capacity(n * l);
+        for i in 0..n {
+            let row: Vec<f32> = match rng.gen_range(0..16u32) {
+                0 if i > 0 => {
+                    let j = rng.gen_range(0..i);
+                    data[j * l..(j + 1) * l].to_vec()
+                }
+                1 => vec![-0.0; l],
+                2 | 3 => {
+                    let mut r = vec![0.5; l];
+                    r[rng.gen_range(0..l)] = if i % 2 == 0 { f32::NAN } else { f32::INFINITY };
+                    r
+                }
+                _ if rows == Rows::Integers => {
+                    (0..l).map(|_| rng.gen_range(-2i32..=2) as f32).collect()
+                }
+                _ if rows == Rows::Magnitudes => (0..l)
+                    .map(|_| match rng.gen_range(0..12u32) {
+                        0 => 4096.0,
+                        1 => -4096.0,
+                        _ => rng.gen_range(-1i32..=1) as f32,
+                    })
+                    .collect(),
+                _ => {
+                    let p = rng.gen_range(0..4usize);
+                    let jitter = rng.gen_range(0.0f32..0.8);
+                    (0..l)
+                        .map(|t| protos[p * l + t] + rng.gen_range(-jitter..=jitter))
+                        .collect()
+                }
+            };
+            data.extend_from_slice(&row);
+        }
+        data
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The blocked walk (flat table, first leader in place, later
+        /// leaders in 8-lane tiles) equals the one-leader-at-a-time
+        /// reference bit for bit, on the AVX2 tier where the CPU has it
+        /// and on the portable tier always. `buckets > 0` replaces the
+        /// hashed signatures with that many buckets, so buckets hold far
+        /// more than 16 leaders.
+        #[test]
+        fn blocked_walk_matches_reference(
+            l in proptest::sample::select(vec![1usize, 2, 3, 4, 5, 6, 7, 8, 9, 16, 25, 31, 32, 33]),
+            h in proptest::sample::select(vec![1usize, 4, 8, 16, 64]),
+            n in 1usize..400,
+            rows in proptest::sample::select(vec![Rows::Jittered, Rows::Integers, Rows::Magnitudes]),
+            buckets in 0u64..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let data = walk_rows(n, l, rows, seed);
+            let row = |i: usize| &data[i * l..(i + 1) * l];
+            let mut frng = SmallRng::seed_from_u64(seed ^ 0x5EED);
+            let family = HashFamily::random(h, l, &mut frng);
+            let x = Tensor::from_vec(data.clone(), &[n, l]).unwrap();
+            let mut sigs = family.hash_rows(&x).unwrap();
+            if buckets > 0 {
+                let mut brng = SmallRng::seed_from_u64(seed);
+                sigs.iter_mut().for_each(|s| *s = Signature(brng.gen_range(0..buckets)));
+            }
+            let tau = match rows {
+                Rows::Integers => (1 + seed % 3) as f32,
+                Rows::Magnitudes => 4096.0,
+                Rows::Jittered => {
+                    let finite = |i: usize| row(i).iter().all(|v| v.is_finite());
+                    let clean: Vec<usize> = (0..n).filter(|&i| finite(i)).collect();
+                    let norm = mean_norm_rows(clean.len(), |i| row(clean[i]));
+                    refine_threshold(norm, h)
+                }
+            };
+            let mut tiers = vec![Tier::Portable];
+            if Tier::detect() == Tier::Avx2 {
+                tiers.push(Tier::Avx2);
+            }
+            let mut scratch = ClusterScratch::new();
+            for tier in tiers {
+                let want = cluster_refined(&sigs, row, tau, tier);
+                // A different panel first, so stale table and tile state
+                // from an earlier walk is in place.
+                let other = walk_rows(n / 2 + 1, l, Rows::Integers, !seed);
+                let other_sigs = vec![Signature(1); n / 2 + 1];
+                scratch.group(&other, l, &other_sigs, 1.0, tier);
+                scratch.group(&data, l, &sigs, tau, tier);
+                prop_assert_eq!((tier, scratch.assignments()), (tier, want.assignments()));
+                prop_assert_eq!((tier, scratch.sizes()), (tier, &want.sizes()[..]));
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_walk_finds_late_leaders_of_one_bucket() {
+        // 40 leaders in one bucket, pairwise far apart (five tiles after
+        // the first leader), then every leader again in reverse order:
+        // each repeat must land on its own leader, in lane order.
+        let l = 9;
+        let mut data: Vec<f32> = (0..40 * l).map(|i| ((i / l) * 10 + i % l) as f32).collect();
+        let repeats: Vec<f32> = data.chunks(l).rev().flatten().copied().collect();
+        data.extend_from_slice(&repeats);
+        let sigs = vec![Signature(3); 80];
+        let row = |i: usize| &data[i * l..(i + 1) * l];
+        for tier in [Tier::Portable, Tier::detect()] {
+            let mut scratch = ClusterScratch::new();
+            scratch.group(&data, l, &sigs, 1.0, tier);
+            assert_eq!(scratch.num_clusters(), 40, "{tier:?}");
+            let want: Vec<usize> = (0..40).chain((0..40).rev()).collect();
+            assert_eq!(scratch.assignments(), &want[..], "{tier:?}");
+            let reference = cluster_refined(&sigs, row, 1.0, tier);
+            assert_eq!(scratch.assignments(), reference.assignments(), "{tier:?}");
+        }
     }
 
     #[test]

@@ -45,10 +45,7 @@ mod family;
 mod fused;
 mod pca;
 
-pub use cluster::{
-    cluster_rows, cluster_vectors, refine_threshold, ClusterScratch, Clustering, SigBuildHasher,
-    SigHasher,
-};
+pub use cluster::{cluster_rows, cluster_vectors, refine_threshold, ClusterScratch, Clustering};
 pub use family::{signatures_match, HashFamily, SigScratch, Signature};
 pub use fused::FusedPanelSource;
 pub use pca::top_principal_directions;

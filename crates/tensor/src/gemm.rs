@@ -106,7 +106,7 @@ fn check_lens(
 /// microkernel pipeline.
 ///
 /// Per-element sums accumulate in strictly ascending `k` order, so the
-/// result is bit-identical to a naive triple loop (see [`crate::pack`]).
+/// result is bit-identical to a naive triple loop (see the `pack` module).
 ///
 /// # Errors
 ///
@@ -182,7 +182,7 @@ pub fn gemm_f32_into_with(
 /// transpose participates in the product.
 ///
 /// The rows of `bt` are read in place and only `a` is packed (see
-/// [`crate::pack`]), so neither a transposed copy nor a per-call repack
+/// the `pack` module), so neither a transposed copy nor a per-call repack
 /// of `bt` is ever made — this is how weight matrices (stored
 /// `out_channels x k`) and LSH projection matrices (`H x L`) are applied.
 /// Bit-identical to `gemm_f32(a, bt.transpose())`.

@@ -204,7 +204,7 @@ impl ActQuantParams {
 
 /// Quantizes a slice of activations into a caller-owned `u8` buffer
 /// (allocation-free; `out.len()` must equal `xs.len()`). Dispatches to
-/// the vectorized tiers in [`crate::simd`]; the result is bit-identical
+/// the vectorized tiers of the `simd` module; the result is bit-identical
 /// to calling [`ActQuantParams::quantize`] per element.
 pub fn quantize_u8_into(xs: &[f32], params: &ActQuantParams, out: &mut [u8]) {
     debug_assert_eq!(xs.len(), out.len());
@@ -315,7 +315,7 @@ impl Requant {
 
 /// Requantizes a full accumulator buffer into a caller-owned `i8` buffer
 /// (allocation-free). Dispatches to the vectorized tiers in
-/// [`crate::simd`]; bit-identical to [`Requant::apply`] per element.
+/// the `simd` module; bit-identical to [`Requant::apply`] per element.
 /// Telemetry span: `quant.requant`.
 pub fn requantize_i8_into(acc: &[i32], rq: &Requant, out: &mut [i8]) {
     debug_assert_eq!(acc.len(), out.len());
