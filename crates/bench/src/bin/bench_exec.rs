@@ -27,8 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use greuse::{
-    execute_reuse_images, execute_reuse_images_parallel, ExecWorkspace, RandomHashProvider,
-    ReusePattern,
+    execute_reuse_images, BatchExecutor, ExecWorkspace, RandomHashProvider, ReusePattern,
 };
 use greuse_bench::quick_mode;
 use greuse_tensor::Tensor;
@@ -117,7 +116,7 @@ fn main() {
 
     // --- Batch throughput, single thread vs parallel ---
     // At least 2 so the pool path actually runs even on a single-core
-    // host (threads=1 collapses to the sequential path).
+    // host (threads=1 runs every image inline on the caller).
     let hw_threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -132,8 +131,13 @@ fn main() {
         seq_best = seq_best.min(t0.elapsed().as_secs_f64());
         seq_stats = Some(s);
 
+        // A fresh executor and output tensors per rep, allocated inside
+        // the timed region, so the parallel side pays the same per-call
+        // output allocations as the sequential side.
         let t0 = Instant::now();
-        let (_, s) = execute_reuse_images_parallel(&xs, &w, &pattern, &hashes, threads)
+        let mut ys: Vec<Tensor<f32>> = (0..images).map(|_| Tensor::zeros(&[n, m])).collect();
+        let s = BatchExecutor::new()
+            .execute(&xs, &w, &pattern, &hashes, threads, &mut ys)
             .expect("parallel batch");
         par_best = par_best.min(t0.elapsed().as_secs_f64());
         par_stats = Some(s);

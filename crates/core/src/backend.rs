@@ -230,7 +230,7 @@ impl AtomicLayerStats {
 /// A checkout pool of executor workspaces. Concurrent callers each take
 /// their own; a single-threaded caller gets the same warm workspace back
 /// on every call.
-pub(crate) struct WorkspacePool<W>(Mutex<Vec<W>>);
+struct WorkspacePool<W>(Mutex<Vec<W>>);
 
 impl<W> Default for WorkspacePool<W> {
     fn default() -> Self {
@@ -240,7 +240,7 @@ impl<W> Default for WorkspacePool<W> {
 
 impl<W: Default> WorkspacePool<W> {
     /// Runs `f` on a checked-out workspace and returns it to the pool.
-    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut W) -> R) -> R {
+    fn with<R>(&self, f: impl FnOnce(&mut W) -> R) -> R {
         let mut ws = self.0.lock().pop().unwrap_or_default();
         let out = f(&mut ws);
         self.0.lock().push(ws);
@@ -386,7 +386,7 @@ impl<P: HashProvider, W: LayerExecutor> GuardedBackend<P, W> {
         self.layers.get(layer).map(|l| l.tag)
     }
 
-    /// The layer's input redundancy probe ([`crate::redundancy_probe`])
+    /// The layer's input redundancy probe (`redundancy_probe`)
     /// captured on its first reuse call — the *predicted* `r_t` that the
     /// drift report compares against the measured ratio. `None` until the
     /// layer has executed with reuse.
@@ -507,7 +507,7 @@ impl<P: HashProvider, W: LayerExecutor> GuardedBackend<P, W> {
         }
         entry.stats.record(&stats, wall_ns);
         if entry.stats.probe_bits.load(Ordering::Relaxed) == 0 {
-            let probe = crate::redundancy_probe(x);
+            let probe = redundancy_probe(x);
             entry
                 .stats
                 .probe_bits
@@ -539,6 +539,38 @@ impl<P: HashProvider, W: LayerExecutor> GuardedBackend<P, W> {
 fn record_fallback(entry: &PatternedLayer, reason: FallbackReason) {
     FALLBACKS.add(1);
     entry.stats.record_fallback(reason);
+}
+
+/// A redundancy probe: a single-pass estimate of how self-similar the
+/// rows of an im2col matrix are, in `[0, 1]` (1 = every row equals the
+/// running mean). Cost: one pass over the matrix — negligible next to
+/// the layer's GEMM.
+fn redundancy_probe(x: &Tensor<f32>) -> f64 {
+    let (n, k) = (x.rows(), x.cols());
+    if n == 0 || k == 0 {
+        return 0.0;
+    }
+    // Mean row and mean squared deviation, normalized by the mean row
+    // energy: a scale-free "how far are rows from their average".
+    let mut mean = vec![0.0f64; k];
+    for r in 0..n {
+        for (m, v) in mean.iter_mut().zip(x.row(r)) {
+            *m += f64::from(*v);
+        }
+    }
+    for m in &mut mean {
+        *m /= n as f64;
+    }
+    let mean_energy: f64 = mean.iter().map(|m| m * m).sum::<f64>().max(1e-12);
+    let mut dev = 0.0f64;
+    for r in 0..n {
+        for (m, v) in mean.iter().zip(x.row(r)) {
+            let d = f64::from(*v) - m;
+            dev += d * d;
+        }
+    }
+    let rel = dev / (n as f64 * mean_energy);
+    1.0 / (1.0 + rel)
 }
 
 impl<P: HashProvider, W: LayerExecutor> ConvBackend for GuardedBackend<P, W> {
@@ -826,5 +858,51 @@ mod tests {
         let err = backend.conv_gemm("conv1", &spec, &x, &w_bad).unwrap_err();
         assert!(matches!(err, TensorError::InvalidInput { .. }), "{err}");
         assert!(err.to_string().contains("inner dimensions"), "{err}");
+    }
+}
+
+#[cfg(test)]
+mod probe_tests {
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    fn flat_matrix(n: usize, k: usize) -> Tensor<f32> {
+        // All rows identical: probe should be ~1.
+        Tensor::from_fn(&[n, k], |i| ((i % k) as f32 * 0.3).sin())
+    }
+
+    fn noisy_matrix(n: usize, k: usize, seed: u64) -> Tensor<f32> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        Tensor::from_fn(&[n, k], |_| rng.gen_range(-1.0f32..1.0))
+    }
+
+    #[test]
+    fn probe_separates_redundant_from_random() {
+        let high = redundancy_probe(&flat_matrix(32, 16));
+        let low = redundancy_probe(&noisy_matrix(32, 16, 1));
+        assert!(
+            high > 0.95,
+            "identical rows should probe near 1, got {high}"
+        );
+        assert!(
+            low < high,
+            "random rows {low} must probe below identical {high}"
+        );
+    }
+
+    #[test]
+    fn probe_is_scale_free() {
+        let base = flat_matrix(16, 8);
+        let mut scaled = base.clone();
+        scaled.scale(7.0);
+        let a = redundancy_probe(&base);
+        let b = redundancy_probe(&scaled);
+        assert!((a - b).abs() < 1e-6);
+    }
+
+    #[test]
+    fn probe_empty_is_zero() {
+        assert_eq!(redundancy_probe(&Tensor::zeros(&[0, 4])), 0.0);
     }
 }

@@ -28,10 +28,7 @@ mod seam;
 mod vertical;
 mod workspace;
 
-pub use batch::{
-    execute_reuse_batch, execute_reuse_images, execute_reuse_images_parallel, BatchExecutor,
-    BatchStacking,
-};
+pub use batch::{execute_reuse_batch, execute_reuse_images, BatchExecutor, BatchStacking};
 pub use quant::QuantWorkspace;
 pub use seam::LayerExecutor;
 pub use workspace::ExecWorkspace;

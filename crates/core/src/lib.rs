@@ -46,7 +46,6 @@
 
 #![warn(missing_docs)]
 
-mod adaptive;
 mod backend;
 mod error;
 mod exec;
@@ -67,12 +66,11 @@ mod select;
 pub mod serve;
 pub mod workflow;
 
-pub use adaptive::{redundancy_probe, AdaptiveBackend, AdaptivePolicy, PolicyChoice};
 pub use backend::{GuardedBackend, LayerStats, QuantizedBackend, ReuseBackend};
 pub use error::GreuseError;
 pub use exec::{
-    execute_reuse, execute_reuse_batch, execute_reuse_images, execute_reuse_images_parallel,
-    BatchExecutor, BatchStacking, ExecWorkspace, QuantWorkspace, ReuseOutput, ReuseStats,
+    execute_reuse, execute_reuse_batch, execute_reuse_images, BatchExecutor, BatchStacking,
+    ExecWorkspace, QuantWorkspace, ReuseOutput, ReuseStats,
 };
 pub use guard::{
     breakeven_rt, breakeven_rt_fused, first_non_finite, sanitize_non_finite, should_fall_back,

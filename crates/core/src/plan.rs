@@ -14,7 +14,6 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::exec::ExecWorkspace;
 use crate::hash_provider::HashProvider;
 use crate::pattern::{ReuseDirection, ReuseOrder, ReusePattern, RowOrder};
 use crate::{GreuseError, Result, ReuseBackend};
@@ -68,32 +67,6 @@ impl DeploymentPlan {
     /// Builds a [`ReuseBackend`] executing this plan.
     pub fn to_backend<P: HashProvider>(&self, hashes: P) -> ReuseBackend<P> {
         ReuseBackend::new(hashes).with_patterns(self.entries.iter().cloned())
-    }
-
-    /// Precompiles an [`ExecWorkspace`] for one of the plan's layers on
-    /// the given GEMM dimensions (`N x K`, `M` filters): the pattern's
-    /// permutations are built and every buffer allocated up front, so the
-    /// first inference call is already allocation-free. Returns `Ok(None)`
-    /// when the plan has no pattern for `layer` (dense layer).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GreuseError::InvalidPattern`] when the layer's pattern
-    /// cannot apply to the dimensions.
-    pub fn precompiled_workspace(
-        &self,
-        layer: &str,
-        spec: &greuse_tensor::ConvSpec,
-        n: usize,
-        k: usize,
-        m: usize,
-    ) -> Result<Option<ExecWorkspace>> {
-        let Some(pattern) = self.get(layer) else {
-            return Ok(None);
-        };
-        let mut ws = ExecWorkspace::new();
-        ws.prepare(layer, n, k, m, pattern, Some(spec))?;
-        Ok(Some(ws))
     }
 
     /// Serializes the plan to its text format.
@@ -332,39 +305,6 @@ mod tests {
         assert!(backend.pattern("conv1").is_some());
         assert!(backend.pattern("conv2").is_some());
         assert_eq!(backend.pattern("conv2").unwrap().block_rows, 2);
-    }
-
-    #[test]
-    fn precompiled_workspace_matches_lazy_execution() {
-        use crate::hash_provider::RandomHashProvider;
-        use greuse_tensor::{ConvSpec, Tensor};
-
-        let plan = sample_plan();
-        let spec = ConvSpec::new(3, 8, 5, 5);
-        let (n, k, m) = (64, spec.patch_len(), 8);
-        let hashes = RandomHashProvider::new(11);
-        let x = Tensor::from_fn(&[n, k], |i| ((i % 53) as f32 * 0.17).sin());
-        let w = Tensor::from_fn(&[m, k], |i| ((i % 29) as f32 * 0.23).cos());
-
-        let mut ws = plan
-            .precompiled_workspace("conv2", &spec, n, k, m)
-            .unwrap()
-            .expect("conv2 has a pattern");
-        let mut y = vec![0.0f32; n * m];
-        let pattern = *plan.get("conv2").unwrap();
-        let stats = ws
-            .execute_into(&x, &w, Some(&spec), &pattern, &hashes, "conv2", &mut y)
-            .unwrap();
-        let lazy = crate::ExecWorkspace::new()
-            .execute(&x, &w, Some(&spec), &pattern, &hashes, "conv2")
-            .unwrap();
-        assert_eq!(y, lazy.y.as_slice());
-        assert_eq!(stats, lazy.stats);
-        // Dense layers have no workspace.
-        assert!(plan
-            .precompiled_workspace("conv9", &spec, n, k, m)
-            .unwrap()
-            .is_none());
     }
 
     #[test]

@@ -3,10 +3,8 @@
 //! with random-hash clustering, prune with the two analytic models, then
 //! fully check only the promising set and report the Pareto optimals.
 
-mod global;
 pub mod reproduce;
 
-pub use global::{select_patterns_global, GlobalAssignment, GlobalSelection};
 pub use reproduce::{
     reproduce_network, run_reproduction, LayerCross, NetworkReproduction, ReproduceConfig,
     ReproduceReport,

@@ -15,11 +15,9 @@ mod batchnorm;
 mod conv;
 mod fc;
 mod pool;
-mod rnn;
 
 pub use activation::Relu;
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
 pub use fc::Linear;
 pub use pool::{GlobalAvgPool, MaxPool2d};
-pub use rnn::ElmanRnn;

@@ -49,7 +49,6 @@ mod state;
 mod train;
 
 pub use backend::{ConvBackend, ConvCall, DenseBackend, RecordingBackend};
-// Re-export the full 8-bit inference backend alongside the simulated paths.
 pub use error::NnError;
 pub use flops::{model_flops, FlopsBreakdown};
 pub use hpo::{grid_search, HpoConfig, HpoResult};
@@ -58,7 +57,7 @@ pub use loss::{softmax, softmax_cross_entropy, SoftmaxCrossEntropy};
 pub use network::{ConvLayerInfo, Network, TrainableNetwork};
 pub use optim::{LrSchedule, Sgd, SgdConfig};
 pub use prune::{prune_channels, PruneReport};
-pub use quant::{ptq_int8, LayerInt8Params, Q7InferenceBackend};
+pub use quant::{ptq_int8, LayerInt8Params};
 pub use state::StateDict;
 pub use train::{
     evaluate_accuracy, evaluate_dense, fine_tune_epoch_with, train_epoch, EvalSummary, Example,

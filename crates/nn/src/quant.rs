@@ -10,8 +10,7 @@
 //!   via a decorating [`ConvBackend`].
 
 use greuse_tensor::{
-    dequantize_linear, gemm_q7_acc, quantize_linear, ConvSpec, LinearQuantParams, Tensor,
-    TensorError, Q7,
+    dequantize_linear, quantize_linear, ConvSpec, LinearQuantParams, Tensor, TensorError, Q7,
 };
 use serde::{Deserialize, Serialize};
 
@@ -184,45 +183,6 @@ impl<B: ConvBackend> ConvBackend for Int8ActivationBackend<B> {
     }
 }
 
-/// A backend executing every convolution in genuine 8-bit fixed-point
-/// arithmetic: activations and weights are quantized to per-call Q7
-/// formats, the product accumulates in `i32` (exactly the CMSIS-NN
-/// `arm_convolve_HWC_q7` pipeline before its output shift), and the raw
-/// accumulators are rescaled by the two format scales.
-///
-/// Unlike [`quantize_weights`] (which only rounds weights), this path
-/// reproduces *all* 8-bit rounding: weights, activations, and the integer
-/// product — the deployment arithmetic of §5.1.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Q7InferenceBackend;
-
-impl ConvBackend for Q7InferenceBackend {
-    fn conv_gemm(
-        &self,
-        _layer: &str,
-        _spec: &ConvSpec,
-        x: &Tensor<f32>,
-        weights: &Tensor<f32>,
-    ) -> std::result::Result<Tensor<f32>, TensorError> {
-        let absmax = |t: &Tensor<f32>| t.as_slice().iter().fold(0.0f32, |a, v| a.max(v.abs()));
-        let xa = absmax(x);
-        let wa = absmax(weights);
-        if xa == 0.0 || wa == 0.0 {
-            return Ok(Tensor::zeros(&[x.rows(), weights.rows()]));
-        }
-        let x_fmt = Q7::fitting(xa);
-        let w_fmt = Q7::fitting(wa);
-        let xq = x_fmt.quantize_tensor(x);
-        let wq = w_fmt.quantize_tensor(&weights.transpose());
-        let acc = gemm_q7_acc(&xq, &wq)?;
-        // real = acc / (2^xf * 2^wf).
-        let scale = 1.0 / (f32::from(1u16 << x_fmt.frac_bits) * f32::from(1u16 << w_fmt.frac_bits));
-        Ok(Tensor::from_fn(acc.shape().dims(), |i| {
-            acc.as_slice()[i] as f32 * scale
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,44 +302,5 @@ mod tests {
         }
         let infos = quantize_weights(&mut net, QuantMode::Int8Linear).unwrap();
         assert!(infos.iter().all(|i| i.mean_abs_error == 0.0));
-    }
-
-    #[test]
-    fn q7_inference_backend_tracks_dense() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        let net = CifarNet::new(10, &mut rng);
-        let x = Tensor::from_fn(&[3, 32, 32], |i| (i as f32 * 0.017).sin());
-        let dense = net.forward(&x, &DenseBackend).unwrap();
-        let q7 = net.forward(&x, &Q7InferenceBackend).unwrap();
-        let dense_top = dense
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .unwrap()
-            .0;
-        let q7_top = q7
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .unwrap()
-            .0;
-        assert_eq!(
-            dense_top, q7_top,
-            "8-bit arithmetic should preserve the argmax"
-        );
-        let scale = dense.iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1.0);
-        for (a, b) in dense.iter().zip(q7.iter()) {
-            assert!((a - b).abs() < 0.35 * scale, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn q7_inference_zero_input_zero_output() {
-        use greuse_tensor::ConvSpec;
-        let x = Tensor::<f32>::zeros(&[4, 6]);
-        let w = Tensor::from_fn(&[3, 6], |i| (i as f32 * 0.1).cos());
-        let spec = ConvSpec::new(1, 3, 2, 3);
-        let y = Q7InferenceBackend.conv_gemm("c", &spec, &x, &w).unwrap();
-        assert!(y.as_slice().iter().all(|&v| v == 0.0));
     }
 }

@@ -497,51 +497,6 @@ pub fn gemm_q7(a: &Tensor<i8>, b: &Tensor<i8>, out_shift: u8) -> Result<Tensor<i
     Ok(c)
 }
 
-/// Fixed-point GEMM returning the raw `i32` accumulators (no
-/// requantization) — the intermediate CMSIS-NN kernels hold before the
-/// output shift. Used by the full 8-bit inference path, where the caller
-/// rescales with the product of the input and weight scales.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] on incompatible operands.
-pub fn gemm_q7_acc(a: &Tensor<i8>, b: &Tensor<i8>) -> Result<Tensor<i32>, TensorError> {
-    if a.shape().rank() != 2 || b.shape().rank() != 2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "gemm_q7_acc",
-            expected: vec![2, 2],
-            actual: vec![a.shape().rank(), b.shape().rank()],
-        });
-    }
-    let (m, k) = (a.shape().dims()[0], a.shape().dims()[1]);
-    let (k2, n) = (b.shape().dims()[0], b.shape().dims()[1]);
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "gemm_q7_acc",
-            expected: vec![m, k, n],
-            actual: vec![m, k2, n],
-        });
-    }
-    let mut c = Tensor::<i32>::zeros(&[m, n]);
-    let a_s = a.as_slice();
-    let b_s = b.as_slice();
-    let c_s = c.as_mut_slice();
-    for i in 0..m {
-        for kk in 0..k {
-            let av = i32::from(a_s[i * k + kk]);
-            if av == 0 {
-                continue;
-            }
-            let b_row = &b_s[kk * n..(kk + 1) * n];
-            let c_row = &mut c_s[i * n..(i + 1) * n];
-            for (cv, bv) in c_row.iter_mut().zip(b_row.iter()) {
-                *cv += av * i32::from(*bv);
-            }
-        }
-    }
-    Ok(c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -726,16 +681,5 @@ mod tests {
         let a = Tensor::<i8>::zeros(&[2, 3]);
         let b = Tensor::<i8>::zeros(&[4, 2]);
         assert!(gemm_q7(&a, &b, 0).is_err());
-    }
-
-    #[test]
-    fn q7_acc_matches_wide_product() {
-        let a = Tensor::from_vec(vec![127i8, -128, 64, 3], &[2, 2]).unwrap();
-        let b = Tensor::from_vec(vec![127i8, 1, -128, 2], &[2, 2]).unwrap();
-        let c = gemm_q7_acc(&a, &b).unwrap();
-        // Row 0: [127*127 + (-128)*(-128), 127*1 + (-128)*2]
-        assert_eq!(c.as_slice()[0], 127 * 127 + 128 * 128);
-        assert_eq!(c.as_slice()[1], 127 - 256);
-        assert!(gemm_q7_acc(&a, &Tensor::<i8>::zeros(&[3, 2])).is_err());
     }
 }
