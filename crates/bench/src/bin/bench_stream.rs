@@ -227,10 +227,10 @@ fn run_int8(
 /// replay. `None` when telemetry is compiled out or nothing recorded.
 fn frame_percentiles(backend: &str) -> Option<[u64; 3]> {
     let key = format!("exec.layer_latency{{layer=\"stream\",backend=\"{backend}\",mode=\"warm\"}}");
-    greuse_telemetry::metrics::hist_snapshots()
+    greuse_telemetry::metrics::snapshot()
+        .hists
         .into_iter()
-        .find(|s| s.key == key)
-        .filter(|s| s.count > 0)
+        .find(|s| s.key == key && s.count > 0)
         .map(|s| [s.quantile(0.5), s.quantile(0.95), s.quantile(0.99)])
 }
 
@@ -377,7 +377,7 @@ fn main() {
     // sections above stay telemetry-free, while the history record
     // still carries the full percentile set the regression tracker
     // diffs. (With telemetry compiled out these metrics are nulled.)
-    greuse_telemetry::metrics::reset();
+    greuse_telemetry::reset();
     greuse_telemetry::enable();
     let _ = run_f32(&frames, &w, &pattern, true, 1);
     let _ = run_int8(&frames, &w, Some(&pattern), true, 1);

@@ -45,7 +45,7 @@ USAGE:
                   [--max-batch N] [--max-delay-ms N] [--queue-cap N]
                   [--deadline-ms N] [--slo-ms N] [--window N] [--trip-after N]
                   [--cooldown-ms N] [--no-cache] [--distinct D] [--seed S]
-  greuse bench-serve --addr HOST:PORT [--unloaded-rps R] [--rps R] [--secs S]
+  greuse bench-serve --addr HOST:PORT [--unloaded-rps R] [--secs S]
                   [--threads T] [--deadline-ms N] [--p99-budget X]
                   [--check] [--stop-server]
   greuse monitor  [--addr HOST:PORT] [--watch] [--interval-ms N] [--validate]
@@ -589,7 +589,7 @@ pub fn stream(opts: &Options) -> Result<(), String> {
     let b = board(opts);
 
     // Live metrics: distributions record only while capture is on.
-    greuse_telemetry::metrics::reset();
+    greuse_telemetry::reset();
     greuse_telemetry::enable();
     let server = match opts.get("serve") {
         None => None,
@@ -725,10 +725,10 @@ pub fn stream(opts: &Options) -> Result<(), String> {
     }
     for result in ["hit", "miss"] {
         let key = format!("cache.panel_latency{{backend=\"{backend_name}\",result=\"{result}\"}}");
-        if let Some(s) = greuse_telemetry::metrics::hist_snapshots()
+        if let Some(s) = greuse_telemetry::metrics::snapshot()
+            .hists
             .into_iter()
-            .find(|s| s.key == key)
-            .filter(|s| s.count > 0)
+            .find(|s| s.key == key && s.count > 0)
         {
             println!(
                 "    panel {result:<4} {:>8} panels: p50 {:>7.2} us  p99 {:>7.2} us",
@@ -752,10 +752,10 @@ fn latency_snapshot(
 ) -> Option<greuse_telemetry::metrics::HistSnapshot> {
     let key =
         format!("exec.layer_latency{{layer=\"{layer}\",backend=\"{backend}\",mode=\"{mode}\"}}");
-    greuse_telemetry::metrics::hist_snapshots()
+    greuse_telemetry::metrics::snapshot()
+        .hists
         .into_iter()
-        .find(|s| s.key == key)
-        .filter(|s| s.count > 0)
+        .find(|s| s.key == key && s.count > 0)
 }
 
 /// `greuse monitor` — scrape a live `/metrics` endpoint (typically one

@@ -15,7 +15,7 @@
 //! greuse serve    HOST:PORT --model cifarnet [--backend f32|int8] [--max-batch N]
 //!                 [--max-delay-ms N] [--queue-cap N] [--deadline-ms N]
 //!                 [--slo-ms N] [--no-cache] [--smoke]
-//! greuse bench-serve --addr HOST:PORT [--unloaded-rps N] [--rps N] [--secs N]
+//! greuse bench-serve --addr HOST:PORT [--unloaded-rps N] [--secs N]
 //!                 [--threads N] [--deadline-ms N] [--check] [--stop-server]
 //! greuse monitor  [--addr HOST:PORT] [--watch] [--interval-ms N] [--validate]
 //! greuse bench-compare --baseline FILE [--dir DIR] [--write-baseline FILE]

@@ -115,7 +115,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     let distinct: usize = opts.num("distinct", 8usize)?.clamp(1, n);
     let pool = Arc::new(RequestPool::new(n, k, distinct, seed));
 
-    greuse_telemetry::metrics::reset();
+    greuse_telemetry::reset();
     greuse_telemetry::enable();
     let server = Arc::new(Server::start(engine, cfg.clone()));
     let (stop_tx, stop_rx) = mpsc::channel::<()>();
@@ -263,10 +263,10 @@ fn print_final(stats: &greuse::serve::ServeStats) {
         stats.batches,
         stats.breaker_trips
     );
-    if let Some(s) = greuse_telemetry::metrics::hist_snapshots()
+    if let Some(s) = greuse_telemetry::metrics::snapshot()
+        .hists
         .into_iter()
-        .find(|s| s.key == greuse::serve::METRIC_REQUEST_LATENCY)
-        .filter(|s| s.count > 0)
+        .find(|s| s.key == greuse::serve::METRIC_REQUEST_LATENCY && s.count > 0)
     {
         println!(
             "final: request latency p50 {:.1} us, p99 {:.1} us over {} requests",
@@ -382,15 +382,17 @@ fn run_phase(
 
 /// `greuse bench-serve --addr HOST:PORT` — two-phase open-loop load
 /// test against a running `greuse serve`: an unloaded phase for the
-/// baseline p50/p99, then a stress phase (default 10× the unloaded
-/// rate) exercising the shed and deadline paths. Writes the schema-v1
+/// baseline p50/p99, then a stress phase exercising the shed and
+/// deadline paths. The stress rate is derived from the unloaded p50:
+/// `threads / p50` fires each sender again as soon as an unloaded answer
+/// would return, so about `threads` requests stay in flight however fast
+/// the host serves. Writes the schema-v1
 /// `BENCH_serve.json`; `--check` gates the graceful-degradation
 /// acceptance criteria (nonzero shed under overload, stress p99 of
 /// admitted requests within 3× the unloaded p99).
 pub fn bench_serve(opts: &Options) -> Result<(), String> {
     let addr = opts.require("addr")?.to_string();
     let unloaded_rps: f64 = opts.num("unloaded-rps", 30.0f64)?;
-    let stress_rps: f64 = opts.num("rps", unloaded_rps * 10.0)?;
     let secs: f64 = opts.num("secs", 3.0f64)?;
     let threads: usize = opts.num("threads", 8usize)?.max(1);
     let deadline_ms: u64 = opts.num("deadline-ms", 100u64)?.max(1);
@@ -450,7 +452,8 @@ pub fn bench_serve(opts: &Options) -> Result<(), String> {
         return Err("unloaded phase completed zero requests — server broken or unreachable".into());
     }
 
-    println!("phase 2: stress at {stress_rps:.0} rps for {secs}s");
+    let stress_rps = threads as f64 / u_p50;
+    println!("phase 2: stress at {stress_rps:.0} rps (threads / unloaded p50) for {secs}s");
     let mut stress = run_phase(&addr, stress_rps, secs, threads, deadline_ms, &ids);
     let s_p99 = stress.p(0.99);
     let images_per_sec = stress.ok as f64 / stress.elapsed.as_secs_f64();
@@ -469,12 +472,12 @@ pub fn bench_serve(opts: &Options) -> Result<(), String> {
 
     let record = BenchRecord::new("serve")
         .param("unloaded_rps", unloaded_rps)
-        .param("stress_rps", stress_rps)
         .param("secs", secs)
         .param("threads", threads as f64)
         .param("deadline_ms", deadline_ms as f64)
         .metric("unloaded_p50_secs", u_p50)
         .metric("unloaded_p99_secs", u_p99)
+        .metric("stress_rps", stress_rps)
         .metric("stress_p99_secs", s_p99)
         .metric("stress_p99_ratio", p99_ratio)
         .metric("images_per_sec", images_per_sec)
@@ -494,7 +497,7 @@ pub fn bench_serve(opts: &Options) -> Result<(), String> {
         if stress.shed + stress.deadline_missed == 0 {
             failures.push(format!(
                 "overload produced zero shed/deadline-missed requests at {stress_rps:.0} rps — \
-                 not actually overloaded; raise --rps or shrink --queue-cap"
+                 not actually overloaded; raise --threads or shrink --queue-cap"
             ));
         }
         if !(p99_ratio.is_finite() && p99_ratio <= p99_budget) {

@@ -50,7 +50,6 @@ use serde::{Deserialize, Serialize};
 
 use greuse_mcu::PhaseOps;
 use greuse_nn::{ConvBackend, DenseBackend};
-use greuse_telemetry::Counter;
 use greuse_tensor::{ConvSpec, Tensor, TensorError};
 
 use crate::exec::{ExecWorkspace, LayerExecutor, QuantWorkspace, ReuseStats};
@@ -59,10 +58,6 @@ use crate::guard::{
 };
 use crate::hash_provider::HashProvider;
 use crate::pattern::ReusePattern;
-
-/// Counts every guarded dense fallback (f32 and int8) on the
-/// `exec.fallback` telemetry counter.
-static FALLBACKS: Counter = Counter::new("exec.fallback");
 
 /// Maps runtime errors onto the tensor-level seam of [`ConvBackend`]:
 /// tensor causes pass through unchanged, everything else becomes a typed
@@ -534,10 +529,10 @@ impl<P: HashProvider, W: LayerExecutor> GuardedBackend<P, W> {
     }
 }
 
-/// Records one dense fallback on the `exec.fallback` counter and the
-/// layer's accumulator.
+/// Records one dense fallback (f32 or int8) on the `exec.fallback`
+/// counter and the layer's accumulator.
 fn record_fallback(entry: &PatternedLayer, reason: FallbackReason) {
-    FALLBACKS.add(1);
+    greuse_telemetry::counter!("exec.fallback").add(1);
     entry.stats.record_fallback(reason);
 }
 

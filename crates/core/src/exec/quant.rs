@@ -320,9 +320,9 @@ impl QuantWorkspace {
         let (n, k, m) = crate::exec::seam::gemm_dims(x, w, y)?;
         self.prepare(layer, w, n, pattern)?;
 
-        // Clock reads only while capture is active; handles were resolved
-        // in `prepare`, so the steady state stays alloc-free.
-        let t0 = greuse_telemetry::enabled().then(std::time::Instant::now);
+        // Ends into the layer's latency histogram, resolved in `prepare`,
+        // so the steady state stays alloc-free.
+        let layer_span = greuse_telemetry::span!("exec.layer", timed: true);
         let QuantWorkspace {
             layers,
             active,
@@ -424,10 +424,7 @@ impl QuantWorkspace {
         // Transformation phase: one im2col-equivalent pass plus the
         // quantization pass over the activations.
         stats.ops.transform_elems = 2 * (n * k) as u64;
-        if let Some(t0) = t0 {
-            state.lat[crate::exec::workspace::latency_mode_index(&stats, built)]
-                .record_ns(t0.elapsed().as_nanos() as u64);
-        }
+        layer_span.finish(state.lat[crate::exec::workspace::latency_mode_index(&stats, built)]);
         Ok(stats.finish())
     }
 }

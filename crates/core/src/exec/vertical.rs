@@ -22,7 +22,6 @@
 //! is what makes the executors' steady state allocation-free.
 
 use greuse_lsh::{ClusterScratch, FusedPanelSource, HashFamily};
-use greuse_telemetry::metrics::Hist;
 use greuse_tensor::{
     add_assign_f32, add_assign_i32, dequantize_u8_slice, gemm_bt_f32_strided_into_with,
     gemm_q8_into_with, recover_rows_f32, recover_rows_i32, scatter_accumulate_u8_i32,
@@ -56,9 +55,6 @@ pub(crate) trait PanelElem: CacheElem {
     /// (`deq`), folded through integer sums (`centroids`), and read in
     /// place (no gather) on fused panels of block height 1.
     const CODES: bool;
-
-    /// The `[hit, miss]` per-panel latency histograms of this backend.
-    fn panel_latency_hists() -> [&'static Hist; 2];
 
     /// The real-valued unit matrix a hash provider builds a family from.
     fn family_data(units: &[Self], rows: usize, dim: usize, ctx: &Self::Ctx)
@@ -119,16 +115,6 @@ impl PanelElem for f32 {
     type Acc = f32;
     type Ctx = ();
     const CODES: bool = false;
-
-    fn panel_latency_hists() -> [&'static Hist; 2] {
-        // Resolved unconditionally so the one-time registry allocation
-        // lands during warm-up rather than inside a measured steady-state
-        // window (same idiom as `Counter` registration).
-        [
-            greuse_telemetry::hist!(r#"cache.panel_latency{backend="f32",result="hit"}"#),
-            greuse_telemetry::hist!(r#"cache.panel_latency{backend="f32",result="miss"}"#),
-        ]
-    }
 
     fn family_data(units: &[f32], rows: usize, dim: usize, _: &()) -> Result<Tensor<f32>> {
         Ok(Tensor::from_vec(
@@ -211,13 +197,6 @@ impl PanelElem for u8 {
     type Acc = i32;
     type Ctx = ActQuantParams;
     const CODES: bool = true;
-
-    fn panel_latency_hists() -> [&'static Hist; 2] {
-        [
-            greuse_telemetry::hist!(r#"cache.panel_latency{backend="int8",result="hit"}"#),
-            greuse_telemetry::hist!(r#"cache.panel_latency{backend="int8",result="miss"}"#),
-        ]
-    }
 
     fn family_data(
         units: &[u8],
@@ -334,7 +313,25 @@ pub(crate) fn vertical_into<E: PanelElem>(
     let b = pattern.block_rows.min(n);
     let full_blocks = n / b;
     let tail_rows = n - full_blocks * b;
-    let [hit_hist, miss_hist] = E::panel_latency_hists();
+    // Resolved on every call, capture on or off, so the one-time registry
+    // allocation lands during warm-up rather than inside a measured
+    // steady-state window.
+    let [hit_hist, miss_hist] = if E::CODES {
+        [
+            greuse_telemetry::hist!(r#"cache.panel_latency{backend="int8",result="hit"}"#),
+            greuse_telemetry::hist!(r#"cache.panel_latency{backend="int8",result="miss"}"#),
+        ]
+    } else {
+        [
+            greuse_telemetry::hist!(r#"cache.panel_latency{backend="f32",result="hit"}"#),
+            greuse_telemetry::hist!(r#"cache.panel_latency{backend="f32",result="miss"}"#),
+        ]
+    };
+    let (hits0, misses0, invalidations0) = (
+        stats.cache_hits,
+        stats.cache_misses,
+        stats.cache_invalidations,
+    );
     let PanelBuffers {
         units: units_buf,
         centroids: sums_buf,
@@ -429,11 +426,11 @@ pub(crate) fn vertical_into<E: PanelElem>(
                 fsrc.feed_rows(hashed, full_blocks);
             }
 
-            // Per-panel latency, split by cache outcome. Clock reads only
-            // with an active cache and capture on; the panel is coarse
-            // (cluster + fold + GEMM + recover) so two reads amortize.
-            let panel_t0 =
-                (cache.is_some() && greuse_telemetry::enabled()).then(std::time::Instant::now);
+            // Per-panel latency, split by cache outcome: with a cache the
+            // span ends into its hit or miss histogram. The panel is
+            // coarse (cluster + fold + GEMM + recover) so two clock reads
+            // amortize.
+            let panel_span = greuse_telemetry::span!("exec.panel", timed: cache.is_some());
 
             // Temporal-reuse probe: with the family resident and no fault
             // fired this panel, an unchanged tile (validated bitwise — see
@@ -453,21 +450,17 @@ pub(crate) fn vertical_into<E: PanelElem>(
                             let _warm = greuse_telemetry::span!("exec.warm_cluster");
                             scratch.restore(c.assignments(panel.index), c.sizes(panel.index));
                             stats.cache_hits += 1;
-                            greuse_telemetry::counter!("cache.hit").add(1);
                             warm = true;
                         }
                         Probe::ChangedData => {
                             stats.cache_invalidations += 1;
-                            greuse_telemetry::counter!("cache.invalidate").add(1);
                         }
                         Probe::Cold | Probe::ChangedSigs => {
                             stats.cache_misses += 1;
-                            greuse_telemetry::counter!("cache.miss").add(1);
                         }
                     }
                 } else {
                     stats.cache_misses += 1;
-                    greuse_telemetry::counter!("cache.miss").add(1);
                 }
             }
 
@@ -565,9 +558,8 @@ pub(crate) fn vertical_into<E: PanelElem>(
                 }
             }
             stats.ops.recover_elems += (full_blocks * b * m) as u64;
-            if let Some(t0) = panel_t0 {
-                let hist = if warm { hit_hist } else { miss_hist };
-                hist.record_ns(t0.elapsed().as_nanos() as u64);
+            if cache.is_some() {
+                panel_span.finish(if warm { hit_hist } else { miss_hist });
             }
         }
 
@@ -598,5 +590,17 @@ pub(crate) fn vertical_into<E: PanelElem>(
         }
     }
 
+    // The call's cache outcomes, counted once. A series registers on its
+    // first nonzero count, so a scrape lists only outcomes that happened.
+    if stats.cache_hits > hits0 {
+        greuse_telemetry::counter!("cache.hit").add(stats.cache_hits - hits0);
+    }
+    if stats.cache_misses > misses0 {
+        greuse_telemetry::counter!("cache.miss").add(stats.cache_misses - misses0);
+    }
+    if stats.cache_invalidations > invalidations0 {
+        greuse_telemetry::counter!("cache.invalidate")
+            .add(stats.cache_invalidations - invalidations0);
+    }
     Ok(())
 }

@@ -463,9 +463,9 @@ impl ExecWorkspace {
         let (n, k, m) = crate::exec::seam::gemm_dims(x, w, y)?;
         self.prepare(layer, n, k, m, pattern, spec)?;
 
-        // Clock reads only while capture is active; the handles were
-        // resolved in `prepare`, so the steady state stays alloc-free.
-        let t0 = greuse_telemetry::enabled().then(std::time::Instant::now);
+        // Ends into the layer's latency histogram, resolved in `prepare`,
+        // so the steady state stays alloc-free.
+        let layer_span = greuse_telemetry::span!("exec.layer", timed: true);
 
         let ExecWorkspace {
             layers,
@@ -587,9 +587,7 @@ impl ExecWorkspace {
         // Transformation phase: the base im2col pass plus one pass per
         // layout permutation (the paper includes reorder costs, §5.1).
         stats.ops.transform_elems = (n * k) as u64 * (1 + layout_passes);
-        if let Some(t0) = t0 {
-            lat[latency_mode_index(&stats, built)].record_ns(t0.elapsed().as_nanos() as u64);
-        }
+        layer_span.finish(lat[latency_mode_index(&stats, built)]);
         Ok(stats.finish())
     }
 }

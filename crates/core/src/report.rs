@@ -383,7 +383,8 @@ pub fn network_report<P: HashProvider>(
         board,
         samples,
         layers,
-        counters: greuse_telemetry::counters()
+        counters: greuse_telemetry::metrics::snapshot()
+            .counters
             .into_iter()
             .map(|(name, value)| (name.to_string(), value))
             .collect(),

@@ -43,11 +43,7 @@ fn redundant_gemm() -> (ConvSpec, Tensor<f32>, Tensor<f32>) {
 }
 
 fn fallback_count() -> u64 {
-    greuse_telemetry::counters()
-        .iter()
-        .find(|(name, _)| *name == "exec.fallback")
-        .map(|(_, v)| *v)
-        .unwrap_or(0)
+    greuse_telemetry::counter!("exec.fallback").get()
 }
 
 /// Acceptance (a): a forced-degenerate clustering (every vector its own

@@ -270,3 +270,52 @@ fn faulted_clusterings_are_never_committed() {
 fn faulted_int8_clusterings_are_never_committed() {
     assert_never_commits_under_fault(drive_int8, "int8");
 }
+
+/// The `cache.{hit,miss,invalidate}` telemetry counters are added once per
+/// call from the call's `ReuseStats`: over a partly perturbed stream their
+/// deltas equal the summed stats, on both executors.
+#[cfg(feature = "telemetry")]
+#[test]
+fn cache_counters_equal_summed_stats() {
+    use greuse_telemetry::metrics::{Counter, Metric};
+
+    let _l = lock();
+    let read = || ["cache.hit", "cache.miss", "cache.invalidate"].map(|k| Counter::lookup(k).get());
+    let (n, l, h, tiles) = (32usize, 8usize, 4usize, 3usize);
+    let k = tiles * l;
+    let pattern = ReusePattern::conventional(l, h);
+    let mut xs = frames(n, k, 4, l, 0.3, 11, 12);
+    // Alternating the sign of one zero keeps every f32 signature and
+    // radius but not the bits, so the f32 run also invalidates.
+    for (i, x) in xs.iter_mut().enumerate() {
+        x.as_mut_slice()[0] = if i % 2 == 0 { 0.0 } else { -0.0 };
+    }
+    let w = Tensor::from_fn(&[12, k], |i| ((i % 37) as f32 * 0.29).cos());
+
+    greuse_telemetry::enable();
+    for (what, int8) in [("f32", false), ("int8", true)] {
+        let before = read();
+        let (_, stats) = if int8 {
+            drive_int8(&xs, &w, &pattern, true)
+        } else {
+            drive_f32(&xs, &w, &pattern, true)
+        };
+        let after = read();
+        assert!(stats.cache_hits > 0, "{what}: the run must go warm");
+        assert!(stats.cache_misses > 0, "{what}: the stream must change");
+        assert!(
+            int8 || stats.cache_invalidations > 0,
+            "f32: the zero's sign must invalidate"
+        );
+        assert_eq!(
+            [0, 1, 2].map(|i| after[i] - before[i]),
+            [
+                stats.cache_hits,
+                stats.cache_misses,
+                stats.cache_invalidations
+            ],
+            "{what}: counter deltas must equal the summed stats"
+        );
+    }
+    greuse_telemetry::disable();
+}

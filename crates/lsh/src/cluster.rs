@@ -410,7 +410,9 @@ pub fn cluster_rows(x: &Tensor<f32>, family: &HashFamily) -> Result<Clustering, 
 ///
 /// * buckets live in a flat open-addressed table (one slot per bucket,
 ///   linear probing on a multiplicative mix of the signature), sized
-///   from `n` and invalidated per call by a generation stamp;
+///   by the most buckets the call can have (`n`, and `2^b` for `b`
+///   signature bits in use) and invalidated per call by a generation
+///   stamp;
 /// * a bucket's first leader is compared in place, which settles a
 ///   vector at the cost of one distance when its bucket holds one
 ///   cluster (the common case on panels with few distinct rows);
@@ -425,7 +427,7 @@ pub struct ClusterScratch {
     /// Signatures computed by [`ClusterScratch::cluster`].
     sigs: Vec<Signature>,
     sig_scratch: SigScratch,
-    /// Bucket table; the walk uses its first `table_len(n)` slots.
+    /// Bucket table; the walk uses its first `table_len` slots.
     table: Vec<Slot>,
     /// Generation of the current walk: a slot is live iff its stamp
     /// equals this (never 0 during a walk, so fresh slots are empty).
@@ -474,10 +476,15 @@ const NONE: usize = usize::MAX;
 /// bits over the high bits the table index is taken from.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Bucket-table slots for `n` vectors: a power of two at least `2n`, so
-/// the load factor stays at or below one half.
-fn table_len(n: usize) -> usize {
-    (2 * n).next_power_of_two().max(16)
+/// Bucket-table slots for `n` vectors whose signatures set no bit outside
+/// `used`: a power of two at least twice the most buckets they can fill,
+/// `min(n, 2^popcount(used))`, so the load factor stays at or below one
+/// half. An `H`-bit family thus needs at most `2^(H+1)` slots.
+fn table_len(n: usize, used: u64) -> usize {
+    let buckets = 1usize
+        .checked_shl(used.count_ones())
+        .map_or(n, |b| b.min(n));
+    (2 * buckets).next_power_of_two().max(16)
 }
 
 impl ClusterScratch {
@@ -597,7 +604,7 @@ impl ClusterScratch {
         debug_assert_eq!(data.len(), n * l);
         let row = |i: usize| &data[i * l..(i + 1) * l];
         let tau2 = tau * tau;
-        let cap = table_len(n);
+        let cap = table_len(n, sigs.iter().fold(0, |bits, s| bits | s.0));
         if self.table.len() < cap {
             self.table.resize(cap, Slot::default());
         }
@@ -1168,6 +1175,17 @@ mod tests {
             let reference = cluster_refined(&sigs, row, 1.0, tier);
             assert_eq!(scratch.assignments(), reference.assignments(), "{tier:?}");
         }
+    }
+
+    #[test]
+    fn bucket_table_is_bounded_by_the_signature_space() {
+        // conv1's 1024 rows under an H4 family fill at most 16 buckets.
+        assert_eq!(table_len(1024, 0xF), 32);
+        assert_eq!(table_len(1024, 0b1010_0001), 16);
+        assert_eq!(table_len(1024, u64::MAX), 2048);
+        assert_eq!(table_len(1024, u64::MAX >> 1), 2048);
+        assert_eq!(table_len(3, u64::MAX), 16);
+        assert_eq!(table_len(0, 0), 16);
     }
 
     #[test]

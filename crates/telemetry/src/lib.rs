@@ -1,26 +1,30 @@
-//! Lightweight, feature-gated telemetry for the reuse pipeline.
-//!
-//! The crate exposes two primitives and keeps both cheap enough to leave in
-//! production builds:
+//! Lightweight, feature-gated telemetry for the reuse pipeline: one span
+//! mechanism and one metrics registry, both cheap enough to leave in
+//! production builds.
 //!
 //! - [`span!`] — an RAII timer tied to a `&'static str` call-site name.
 //!   While capture is disabled (the default at runtime, or compiled out when
 //!   the `capture` feature is off) entering a span is a single relaxed
-//!   atomic load plus a branch: no clock read, no allocation.
-//! - [`counter!`] — a per-call-site atomic counter, incremented with a
-//!   relaxed `fetch_add` while capture is active.
+//!   atomic load plus a branch: no clock read, no allocation. A span reads
+//!   the clock only when it has somewhere to record: the event ring, or a
+//!   histogram it ends into ([`SpanGuard::finish`]; declare such a span
+//!   with `span!(name, timed: true)`). One clock pair then feeds both.
+//! - [`counter!`], [`gauge!`] and [`hist!`] — per-call-site lazy handles
+//!   ([`metrics::Handle`]) into the one [`metrics`] registry, where a key
+//!   names one series whichever call sites record into it.
 //!
 //! Completed spans land in a fixed-capacity lock-free ring preallocated by
 //! [`install`]; once the ring is full further events are dropped and counted
 //! ([`dropped_events`]), never allocated. Span names are interned into small
-//! `u32` ids on first active use, so the steady state records three atomic
+//! `u32` ids on first recorded use, so the steady state records three atomic
 //! stores per span and nothing else. This is what lets the zero-allocation
 //! steady-state tests in `greuse-core` run with capture enabled.
 //!
-//! Snapshots are taken after [`disable`] via [`events`] / [`counters`], and
-//! exported with [`chrome_trace`] (Chrome trace-event JSON, loadable in
-//! `chrome://tracing` or Perfetto) or serialized by callers using the
-//! [`json`] helpers.
+//! [`reset`] clears the ring and zeroes every metric. Snapshots are taken
+//! after [`disable`] via [`events`] and [`metrics::snapshot`], and exported
+//! with [`chrome_trace`] (Chrome trace-event JSON, loadable in
+//! `chrome://tracing` or Perfetto), [`prom::render`], or serialized by
+//! callers using the [`json`] helpers.
 
 #![warn(missing_docs)]
 
@@ -37,6 +41,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Mutex, OnceLock};
 #[cfg(feature = "capture")]
 use std::time::Instant;
+
+use metrics::Hist;
 
 /// One completed span occurrence, decoded from the event ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,47 +63,57 @@ pub struct SpanEvent {
 
 /// Declares a span call-site and returns an RAII guard timing the enclosing
 /// scope. Bind it to keep it alive: `let _span = telemetry::span!("phase");`.
+/// With `timed: true` the span reads the clock whenever capture is active,
+/// ring or not, so [`SpanGuard::finish`] can end it into a histogram:
+/// `let s = telemetry::span!("exec.layer", timed: true); …; s.finish(hist);`.
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {{
+    ($name:expr) => {
+        $crate::span!($name, timed: false)
+    };
+    ($name:expr, timed: $timed:expr) => {{
         static META: $crate::SpanMeta = $crate::SpanMeta::new($name);
-        $crate::SpanGuard::enter(&META)
+        $crate::SpanGuard::enter(&META, $timed)
     }};
 }
 
-/// Declares a counter call-site and returns a `&'static Counter` to `add` to:
-/// `telemetry::counter!("pool.jobs").add(1);`.
+/// Declares a counter call-site and returns the `&'static Counter`
+/// registered under the key: `telemetry::counter!("pool.jobs").add(1);`.
+/// Like [`gauge!`] and [`hist!`], the site holds a [`metrics::Handle`]:
+/// the registry lookup runs once, after that it is one atomic load.
 #[macro_export]
 macro_rules! counter {
-    ($name:expr) => {{
-        static COUNTER: $crate::Counter = $crate::Counter::new($name);
-        &COUNTER
-    }};
-}
-
-/// Declares a histogram call-site and returns a `&'static Hist` to record
-/// nanosecond values into:
-/// `telemetry::hist!("pool.job_latency").record_ns(dur);`.
-///
-/// The key may carry a canonical label block when the series is statically
-/// known: `hist!(r#"cache.panel_latency{result="hit"}"#)`. Dynamically
-/// labeled series go through [`metrics::hist_labeled`] from a setup phase
-/// instead. The registry lookup runs once per call-site; after that the
-/// handle is a single atomic load.
-#[macro_export]
-macro_rules! hist {
     ($key:expr) => {{
-        static HANDLE: $crate::metrics::HistHandle = $crate::metrics::HistHandle::new($key);
+        static HANDLE: $crate::metrics::Handle<$crate::metrics::Counter> =
+            $crate::metrics::Handle::new($key);
         HANDLE.get()
     }};
 }
 
-/// Declares a gauge call-site and returns a `&'static Gauge` to `set`:
-/// `telemetry::gauge!("pool.workers").set(n as f64);`.
+/// Declares a gauge call-site and returns the `&'static Gauge` registered
+/// under the key: `telemetry::gauge!("pool.workers").set(n as f64);`.
 #[macro_export]
 macro_rules! gauge {
     ($key:expr) => {{
-        static HANDLE: $crate::metrics::GaugeHandle = $crate::metrics::GaugeHandle::new($key);
+        static HANDLE: $crate::metrics::Handle<$crate::metrics::Gauge> =
+            $crate::metrics::Handle::new($key);
+        HANDLE.get()
+    }};
+}
+
+/// Declares a histogram call-site and returns the `&'static Hist`
+/// registered under the key:
+/// `telemetry::hist!("serve.request_latency").record_ns(dur);`.
+///
+/// The key may carry a canonical label block when the series is statically
+/// known: `hist!(r#"cache.panel_latency{result="hit"}"#)`. Dynamically
+/// labeled series go through [`metrics::hist_labeled`] from a setup phase
+/// instead.
+#[macro_export]
+macro_rules! hist {
+    ($key:expr) => {{
+        static HANDLE: $crate::metrics::Handle<$crate::metrics::Hist> =
+            $crate::metrics::Handle::new($key);
         HANDLE.get()
     }};
 }
@@ -128,7 +144,6 @@ mod state {
     pub(crate) static EPOCH: OnceLock<Instant> = OnceLock::new();
     pub(crate) static NEXT_TID: AtomicU32 = AtomicU32::new(1);
     pub(crate) static SPAN_NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    pub(crate) static COUNTERS: Mutex<Vec<&'static Counter>> = Mutex::new(Vec::new());
 
     thread_local! {
         pub(crate) static TID: Cell<u32> = const { Cell::new(0) };
@@ -155,8 +170,11 @@ mod state {
         })
     }
 
-    pub(crate) fn record(name_id: u32, start_ns: u64, dur_ns: u64) {
+    /// Appends one span to the ring, interning its name on first use; a
+    /// no-op without a ring.
+    pub(crate) fn record(meta: &'static SpanMeta, start_ns: u64, dur_ns: u64) {
         let Some(ring) = RING.get() else { return };
+        let name_id = meta.id();
         let idx = ring.next.fetch_add(1, Ordering::Relaxed);
         if idx >= ring.slots.len() {
             ring.dropped.fetch_add(1, Ordering::Relaxed);
@@ -212,8 +230,8 @@ impl SpanMeta {
     }
 }
 
-/// RAII guard created by [`span!`]; records one [`SpanEvent`] on drop if
-/// capture was active when the guard was created.
+/// RAII guard created by [`span!`]; records one [`SpanEvent`] when it
+/// drops or [finishes](SpanGuard::finish), if it started timing.
 #[cfg(feature = "capture")]
 pub struct SpanGuard {
     meta: Option<&'static SpanMeta>,
@@ -222,11 +240,14 @@ pub struct SpanGuard {
 
 #[cfg(feature = "capture")]
 impl SpanGuard {
-    /// Starts timing if capture is active; otherwise returns an inert guard
-    /// (one relaxed load and a branch, no clock read).
+    /// Starts timing if capture is active and the span has somewhere to
+    /// record: an installed ring, or, when `timed`, the histogram
+    /// [`SpanGuard::finish`] will end it into. Otherwise returns an inert
+    /// guard with no clock read; while capture is inactive that costs one
+    /// relaxed load and a branch.
     #[inline]
-    pub fn enter(meta: &'static SpanMeta) -> SpanGuard {
-        if !state::ACTIVE.load(Ordering::Relaxed) {
+    pub fn enter(meta: &'static SpanMeta, timed: bool) -> SpanGuard {
+        if !state::ACTIVE.load(Ordering::Relaxed) || !(timed || state::RING.get().is_some()) {
             return SpanGuard {
                 meta: None,
                 start_ns: 0,
@@ -237,64 +258,30 @@ impl SpanGuard {
             start_ns: state::now_ns(),
         }
     }
+
+    /// Ends the span: records its ring event (with a ring installed) and
+    /// the same duration as one sample of `hist`. No-op on an inert guard.
+    #[inline]
+    pub fn finish(mut self, hist: &Hist) {
+        if let Some(dur) = self.end() {
+            hist.record(dur);
+        }
+    }
+
+    /// Stops the clock and records the ring event; returns the duration,
+    /// or `None` if the guard never started or already ended.
+    fn end(&mut self) -> Option<u64> {
+        let meta = self.meta.take()?;
+        let dur = state::now_ns().saturating_sub(self.start_ns);
+        state::record(meta, self.start_ns, dur);
+        Some(dur)
+    }
 }
 
 #[cfg(feature = "capture")]
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(meta) = self.meta else { return };
-        let end = state::now_ns();
-        state::record(meta.id(), self.start_ns, end.saturating_sub(self.start_ns));
-    }
-}
-
-/// Per-call-site atomic counter; created by the [`counter!`] macro.
-#[cfg(feature = "capture")]
-pub struct Counter {
-    name: &'static str,
-    registered: AtomicBool,
-    value: AtomicU64,
-}
-
-#[cfg(feature = "capture")]
-impl Counter {
-    /// Const constructor used by [`counter!`].
-    pub const fn new(name: &'static str) -> Self {
-        Counter {
-            name,
-            registered: AtomicBool::new(false),
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// Adds `n` while capture is active. Registration into the global
-    /// counter list happens on the first call regardless of the active
-    /// flag, so the one-time allocation lands during warm-up rather than
-    /// in the measured steady state.
-    #[inline]
-    pub fn add(&'static self, n: u64) {
-        if !self.registered.load(Ordering::Relaxed) {
-            self.register();
-        }
-        if state::ACTIVE.load(Ordering::Relaxed) {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    #[cold]
-    fn register(&'static self) {
-        let mut list = state::COUNTERS
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        if !self.registered.load(Ordering::Relaxed) {
-            list.push(self);
-            self.registered.store(true, Ordering::Relaxed);
-        }
+        self.end();
     }
 }
 
@@ -321,7 +308,7 @@ pub fn install(capacity: usize) -> bool {
         .is_ok()
 }
 
-/// Turns capture on. Spans and counters record until [`disable`].
+/// Turns capture on. Spans and metrics record until [`disable`].
 #[cfg(feature = "capture")]
 pub fn enable() {
     state::ACTIVE.store(true, Ordering::Relaxed);
@@ -340,7 +327,8 @@ pub fn enabled() -> bool {
     state::ACTIVE.load(Ordering::Relaxed)
 }
 
-/// Clears the event ring, the drop count, and every registered counter.
+/// Clears the event ring and the drop count, and zeroes every registered
+/// counter, gauge and histogram (they stay registered).
 #[cfg(feature = "capture")]
 pub fn reset() {
     if let Some(ring) = state::RING.get() {
@@ -350,12 +338,7 @@ pub fn reset() {
         ring.next.store(0, Ordering::Relaxed);
         ring.dropped.store(0, Ordering::Relaxed);
     }
-    let list = state::COUNTERS
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner());
-    for c in list.iter() {
-        c.value.store(0, Ordering::Relaxed);
-    }
+    metrics::zero_all();
 }
 
 /// Sets the calling thread's tag (attached to every span it records) and
@@ -364,14 +347,6 @@ pub fn reset() {
 #[cfg(feature = "capture")]
 pub fn set_tag(tag: u32) -> u32 {
     state::TAG.with(|t| t.replace(tag))
-}
-
-/// Telemetry-local id of the calling thread (1-based, assigned on first
-/// use). Stable for the thread's lifetime; histogram shard selection keys
-/// off it.
-#[cfg(feature = "capture")]
-pub fn state_tid() -> u32 {
-    state::tid()
 }
 
 /// Number of spans dropped because the ring filled up.
@@ -411,24 +386,6 @@ pub fn events() -> Vec<SpanEvent> {
     out
 }
 
-/// Snapshot of every registered counter as `(name, value)` pairs, in
-/// registration order. Counters are per-call-site statics; call-sites
-/// sharing a name are summed into one entry.
-#[cfg(feature = "capture")]
-pub fn counters() -> Vec<(&'static str, u64)> {
-    let list = state::COUNTERS
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner());
-    let mut out: Vec<(&'static str, u64)> = Vec::with_capacity(list.len());
-    for c in list.iter() {
-        match out.iter_mut().find(|(name, _)| *name == c.name) {
-            Some((_, total)) => *total += c.get(),
-            None => out.push((c.name, c.get())),
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Capture-disabled stubs: identical API shapes, all no-ops, so call-sites
 // compile unchanged and the optimizer erases them.
@@ -457,33 +414,13 @@ pub struct SpanGuard;
 impl SpanGuard {
     /// No-op.
     #[inline(always)]
-    pub fn enter(_meta: &'static SpanMeta) -> SpanGuard {
+    pub fn enter(_meta: &'static SpanMeta, _timed: bool) -> SpanGuard {
         SpanGuard
-    }
-}
-
-/// Inert counter (the `capture` feature is off).
-#[cfg(not(feature = "capture"))]
-pub struct Counter {
-    /// Call-site name; kept for API parity.
-    pub name: &'static str,
-}
-
-#[cfg(not(feature = "capture"))]
-impl Counter {
-    /// Const constructor used by [`counter!`].
-    pub const fn new(name: &'static str) -> Self {
-        Counter { name }
     }
 
     /// No-op.
     #[inline(always)]
-    pub fn add(&'static self, _n: u64) {}
-
-    /// Always zero.
-    pub fn get(&self) -> u64 {
-        0
-    }
+    pub fn finish(self, _hist: &Hist) {}
 }
 
 /// No-op; returns `false` (nothing to install).
@@ -518,12 +455,6 @@ pub fn set_tag(_tag: u32) -> u32 {
 
 /// Always zero.
 #[cfg(not(feature = "capture"))]
-pub fn state_tid() -> u32 {
-    0
-}
-
-/// Always zero.
-#[cfg(not(feature = "capture"))]
 pub fn dropped_events() -> u64 {
     0
 }
@@ -531,12 +462,6 @@ pub fn dropped_events() -> u64 {
 /// Always empty.
 #[cfg(not(feature = "capture"))]
 pub fn events() -> Vec<SpanEvent> {
-    Vec::new()
-}
-
-/// Always empty.
-#[cfg(not(feature = "capture"))]
-pub fn counters() -> Vec<(&'static str, u64)> {
     Vec::new()
 }
 
@@ -566,14 +491,24 @@ pub fn chrome_trace() -> String {
     out
 }
 
+/// Serializes the unit tests that read or write process-global state:
+/// [`reset`] zeroes every registered metric, and the libtest harness runs
+/// `#[test]`s concurrently.
+#[cfg(all(test, feature = "capture"))]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poison| poison.into_inner())
+}
+
 #[cfg(all(test, feature = "capture"))]
 mod tests {
     use super::*;
 
-    // One test function: install/enable/reset act on process-global state,
-    // and the libtest harness runs `#[test]`s concurrently.
+    // One test function: install is one-shot, so the ring's whole life
+    // (empty, recording, overflow, reset) is one sequence.
     #[test]
     fn capture_round_trip() {
+        let _l = test_lock();
         assert!(install(64));
         assert!(!install(64), "install must be one-shot");
         assert!(!enabled());
@@ -601,7 +536,7 @@ mod tests {
         assert_eq!(evs[0].name, "test.work");
         assert_eq!(evs[0].tag, 7);
         assert!(evs[0].tid >= 1);
-        let counts = counters();
+        let counts = metrics::snapshot().counters;
         assert!(counts.contains(&("test.count", 3)));
         // The inactive counter registered (first `add`) but never counted.
         assert!(counts.contains(&("test.idle_count", 0)));
@@ -635,6 +570,6 @@ mod tests {
         reset();
         assert!(events().is_empty());
         assert_eq!(dropped_events(), 0);
-        assert!(counters().contains(&("test.count", 0)));
+        assert!(metrics::snapshot().counters.contains(&("test.count", 0)));
     }
 }

@@ -1,10 +1,18 @@
-//! Metrics registry: lock-free log-linear latency histograms plus gauges,
-//! unified with the crate's counters under one stable naming scheme.
+//! The metrics registry: counters, gauges and lock-free log-linear
+//! latency histograms under one naming scheme, one per-call-site handle
+//! type ([`Handle`]) and one reset ([`crate::reset`]).
 //!
 //! A metric key is either a bare name (`pool.job_latency`) or a name with a
 //! canonical label block (`exec.layer_latency{layer="conv1",backend="f32",
 //! mode="warm"}`). Labels are part of the key string — the registry does no
-//! label algebra at record time, so the hot path is label-free.
+//! label algebra at record time, so the hot path is label-free. A key names
+//! one series: every call site that looks it up shares the one metric.
+//!
+//! Metrics are registered on first lookup ([`Metric::lookup`], or the
+//! first [`Handle::get`] of a [`counter!`](crate::counter),
+//! [`gauge!`](crate::gauge) or [`hist!`](crate::hist) site), which is the
+//! only allocating step; recording never allocates and is a no-op while
+//! capture is inactive. [`snapshot`] reads everything at once.
 //!
 //! ## Histogram design
 //!
@@ -20,23 +28,22 @@
 //! Recording is a handful of relaxed `fetch_add`s into one of
 //! [`NSHARDS`] shards selected by the recording thread's telemetry id, so
 //! concurrent writers rarely share cache lines. Shard storage is allocated
-//! once when the histogram is created (registry lookup — a cold path);
-//! [`Hist::record_ns`] itself never allocates and is a no-op while capture
-//! is inactive, preserving the zero-alloc steady state.
+//! once when the histogram is registered. Samples come from
+//! [`Hist::record_ns`] or from a span ended into the histogram
+//! ([`SpanGuard::finish`](crate::SpanGuard::finish)).
 //!
-//! Snapshots ([`hist_snapshots`]) merge the shards bucket-wise; the merge
-//! is a plain vector sum and therefore associative and commutative, which
-//! the tests pin down.
+//! Snapshots merge the shards bucket-wise; the merge is a plain vector sum
+//! and therefore associative and commutative, which the tests pin down.
 //!
 //! When the `capture` feature is off every type here is an inert stub:
-//! [`Hist`] and [`Gauge`] are zero-sized, [`hist!`](crate::hist) /
-//! [`gauge!`](crate::gauge) resolve to references to static unit values,
-//! and `record_ns` / `set` are empty inline functions the optimizer erases.
+//! [`Counter`], [`Gauge`], [`Hist`] and [`Handle`] are zero-sized, the
+//! macros resolve to references to unit values, and `add` / `set` /
+//! `record_ns` are empty inline functions the optimizer erases.
 
 #[cfg(feature = "capture")]
 use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(feature = "capture")]
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Number of per-histogram shards; writers pick `tid % NSHARDS`.
 pub const NSHARDS: usize = 4;
@@ -219,6 +226,30 @@ impl HistSnapshot {
     }
 }
 
+/// Everything the registry holds at one instant, in registration order
+/// per kind. Empty histograms (count 0) are included so exporters render
+/// stable series.
+#[derive(Debug, Clone, Default)]
+pub struct Snapshot {
+    /// `(key, value)` of every counter.
+    pub counters: Vec<(&'static str, u64)>,
+    /// `(key, value)` of every gauge.
+    pub gauges: Vec<(&'static str, f64)>,
+    /// Every histogram, shards merged.
+    pub hists: Vec<HistSnapshot>,
+}
+
+/// A kind of metric the registry holds: [`Counter`], [`Gauge`] or
+/// [`Hist`].
+pub trait Metric: Sync + 'static {
+    /// The metric registered under `key`, created (key copied and leaked)
+    /// on first lookup. That first lookup allocates: resolve from setup or
+    /// `prepare()` phases, or per call site through a [`Handle`] (the
+    /// [`counter!`](crate::counter), [`gauge!`](crate::gauge) and
+    /// [`hist!`](crate::hist) macros).
+    fn lookup(key: &str) -> &'static Self;
+}
+
 // ---------------------------------------------------------------------------
 // Capture-enabled implementation.
 // ---------------------------------------------------------------------------
@@ -243,9 +274,40 @@ impl Shard {
     }
 }
 
+/// A monotonically increasing count. Obtain one from the
+/// [`counter!`](crate::counter) macro or [`Metric::lookup`].
+#[cfg(feature = "capture")]
+pub struct Counter {
+    key: &'static str,
+    value: AtomicU64,
+}
+
+#[cfg(feature = "capture")]
+impl Counter {
+    /// Full metric key.
+    pub fn key(&self) -> &'static str {
+        self.key
+    }
+
+    /// Adds `n` while capture is active (one relaxed load and a branch
+    /// otherwise).
+    #[inline]
+    pub fn add(&self, n: u64) {
+        if crate::enabled() {
+            self.value.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed)
+    }
+}
+
 /// A lock-free log-linear histogram of nanosecond values. Obtain one from
-/// [`hist`], [`hist_labeled`], or the [`hist!`](crate::hist) macro; record
-/// with [`Hist::record_ns`].
+/// the [`hist!`](crate::hist) macro, [`hist_labeled`] or
+/// [`Metric::lookup`]; record with [`Hist::record_ns`], or end a span into
+/// it with [`SpanGuard::finish`](crate::SpanGuard::finish).
 #[cfg(feature = "capture")]
 pub struct Hist {
     key: &'static str,
@@ -271,15 +333,6 @@ impl std::fmt::Debug for Gauge {
 
 #[cfg(feature = "capture")]
 impl Hist {
-    fn new(key: &'static str) -> Hist {
-        Hist {
-            key,
-            shards: std::array::from_fn(|_| Shard::new()),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-
     /// Full metric key, labels included.
     pub fn key(&self) -> &'static str {
         self.key
@@ -289,17 +342,19 @@ impl Hist {
     /// relaxed load and a branch) otherwise. Never allocates.
     #[inline]
     pub fn record_ns(&self, ns: u64) {
-        if !crate::enabled() {
-            return;
+        if crate::enabled() {
+            self.record(ns);
         }
-        self.record_always(ns);
     }
 
-    /// Records unconditionally (used by tests and by call-sites that gate
-    /// on [`crate::enabled`] themselves before reading the clock).
+    /// Records unconditionally into the calling thread's shard.
     #[inline]
-    pub fn record_always(&self, ns: u64) {
-        let shard = &self.shards[crate::state_tid() as usize % NSHARDS];
+    pub(crate) fn record(&self, ns: u64) {
+        self.record_shard(crate::state::tid() as usize, ns);
+    }
+
+    fn record_shard(&self, idx: usize, ns: u64) {
+        let shard = &self.shards[idx % NSHARDS];
         shard.counts[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         shard.count.fetch_add(1, Ordering::Relaxed);
         shard.sum.fetch_add(ns, Ordering::Relaxed);
@@ -348,18 +403,6 @@ impl Hist {
         out
     }
 
-    /// Records into an explicit shard (tests only — exercises cross-shard
-    /// merging without needing `NSHARDS` live threads).
-    #[cfg(test)]
-    fn record_shard(&self, idx: usize, ns: u64) {
-        let shard = &self.shards[idx % NSHARDS];
-        shard.counts[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-        shard.count.fetch_add(1, Ordering::Relaxed);
-        shard.sum.fetch_add(ns, Ordering::Relaxed);
-        self.min.fetch_min(ns, Ordering::Relaxed);
-        self.max.fetch_max(ns, Ordering::Relaxed);
-    }
-
     fn reset(&self) {
         for shard in &self.shards {
             for c in shard.counts.iter() {
@@ -373,8 +416,8 @@ impl Hist {
     }
 }
 
-/// A last-value gauge storing an `f64`. Obtain one from [`gauge`] or the
-/// [`gauge!`](crate::gauge) macro.
+/// A last-value gauge storing an `f64`. Obtain one from the
+/// [`gauge!`](crate::gauge) macro or [`Metric::lookup`].
 #[cfg(feature = "capture")]
 pub struct Gauge {
     key: &'static str,
@@ -383,13 +426,6 @@ pub struct Gauge {
 
 #[cfg(feature = "capture")]
 impl Gauge {
-    fn new(key: &'static str) -> Gauge {
-        Gauge {
-            key,
-            bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
     /// Full metric key.
     pub fn key(&self) -> &'static str {
         self.key
@@ -409,23 +445,74 @@ impl Gauge {
     }
 }
 
+/// The one metrics registry: every counter, gauge and histogram, leaked
+/// on registration and never removed.
 #[cfg(feature = "capture")]
-static HISTS: Mutex<Vec<&'static Hist>> = Mutex::new(Vec::new());
-#[cfg(feature = "capture")]
-static GAUGES: Mutex<Vec<&'static Gauge>> = Mutex::new(Vec::new());
+struct Registry {
+    counters: Vec<&'static Counter>,
+    gauges: Vec<&'static Gauge>,
+    hists: Vec<&'static Hist>,
+}
 
-/// Looks up (or creates and leaks) the histogram registered under `key`.
-/// Creation allocates the shard storage — call this from setup/`prepare()`
-/// phases and cache the `&'static` handle; never from a measured loop.
 #[cfg(feature = "capture")]
-pub fn hist(key: &'static str) -> &'static Hist {
-    let mut list = HISTS.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(h) = list.iter().find(|h| h.key == key) {
-        return h;
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    counters: Vec::new(),
+    gauges: Vec::new(),
+    hists: Vec::new(),
+});
+
+#[cfg(feature = "capture")]
+fn registry() -> MutexGuard<'static, Registry> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Finds `key` in `list`, or leaks a copy of the key and the metric
+/// `new` builds for it and appends that.
+#[cfg(feature = "capture")]
+fn intern<M>(
+    list: &mut Vec<&'static M>,
+    key: &str,
+    key_of: fn(&M) -> &str,
+    new: impl FnOnce(&'static str) -> M,
+) -> &'static M {
+    if let Some(m) = list.iter().find(|m| key_of(m) == key) {
+        return m;
     }
-    let h: &'static Hist = Box::leak(Box::new(Hist::new(key)));
-    list.push(h);
-    h
+    let m: &'static M = Box::leak(Box::new(new(Box::leak(key.into()))));
+    list.push(m);
+    m
+}
+
+#[cfg(feature = "capture")]
+impl Metric for Counter {
+    fn lookup(key: &str) -> &'static Self {
+        intern(&mut registry().counters, key, Counter::key, |key| Counter {
+            key,
+            value: AtomicU64::new(0),
+        })
+    }
+}
+
+#[cfg(feature = "capture")]
+impl Metric for Gauge {
+    fn lookup(key: &str) -> &'static Self {
+        intern(&mut registry().gauges, key, Gauge::key, |key| Gauge {
+            key,
+            bits: AtomicU64::new(0f64.to_bits()),
+        })
+    }
+}
+
+#[cfg(feature = "capture")]
+impl Metric for Hist {
+    fn lookup(key: &str) -> &'static Self {
+        intern(&mut registry().hists, key, Hist::key, |key| Hist {
+            key,
+            shards: std::array::from_fn(|_| Shard::new()),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+        })
+    }
 }
 
 /// Looks up (or creates) the histogram for `name` with `labels`, building
@@ -433,114 +520,89 @@ pub fn hist(key: &'static str) -> &'static Hist {
 /// call — cold paths only; cache the returned handle.
 #[cfg(feature = "capture")]
 pub fn hist_labeled(name: &str, labels: &[(&str, &str)]) -> &'static Hist {
-    let key = make_key(name, labels);
-    let mut list = HISTS.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(h) = list.iter().find(|h| h.key == key) {
-        return h;
+    Hist::lookup(&make_key(name, labels))
+}
+
+/// Snapshots every registered metric.
+#[cfg(feature = "capture")]
+pub fn snapshot() -> Snapshot {
+    let reg = registry();
+    Snapshot {
+        counters: reg.counters.iter().map(|c| (c.key, c.get())).collect(),
+        gauges: reg.gauges.iter().map(|g| (g.key, g.get())).collect(),
+        hists: reg.hists.iter().map(|h| h.snapshot()).collect(),
     }
-    let key: &'static str = Box::leak(key.into_boxed_str());
-    let h: &'static Hist = Box::leak(Box::new(Hist::new(key)));
-    list.push(h);
-    h
 }
 
-/// Looks up (or creates and leaks) the gauge registered under `key`.
+/// Zeroes every registered metric; the registrations stay. Called by
+/// [`crate::reset`].
 #[cfg(feature = "capture")]
-pub fn gauge(key: &'static str) -> &'static Gauge {
-    let mut list = GAUGES.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(g) = list.iter().find(|g| g.key == key) {
-        return g;
+pub(crate) fn zero_all() {
+    let reg = registry();
+    for c in &reg.counters {
+        c.value.store(0, Ordering::Relaxed);
     }
-    let g: &'static Gauge = Box::leak(Box::new(Gauge::new(key)));
-    list.push(g);
-    g
-}
-
-/// Snapshots every registered histogram, in registration order. Empty
-/// histograms (count 0) are included so exporters can render stable series.
-#[cfg(feature = "capture")]
-pub fn hist_snapshots() -> Vec<HistSnapshot> {
-    let list = HISTS.lock().unwrap_or_else(|p| p.into_inner());
-    list.iter().map(|h| h.snapshot()).collect()
-}
-
-/// Snapshots every registered gauge as `(key, value)` pairs.
-#[cfg(feature = "capture")]
-pub fn gauge_values() -> Vec<(&'static str, f64)> {
-    let list = GAUGES.lock().unwrap_or_else(|p| p.into_inner());
-    list.iter().map(|g| (g.key, g.get())).collect()
-}
-
-/// Zeroes every registered histogram and gauge. Deliberately *not* part of
-/// [`crate::reset`]: the span ring is cleared between measurement windows,
-/// but long-running monitors want latency distributions to keep
-/// accumulating across those resets — clear them explicitly when a fresh
-/// window matters.
-#[cfg(feature = "capture")]
-pub fn reset() {
-    let list = HISTS.lock().unwrap_or_else(|p| p.into_inner());
-    for h in list.iter() {
-        h.reset();
-    }
-    let gauges = GAUGES.lock().unwrap_or_else(|p| p.into_inner());
-    for g in gauges.iter() {
+    for g in &reg.gauges {
         g.bits.store(0f64.to_bits(), Ordering::Relaxed);
     }
+    for h in &reg.hists {
+        h.reset();
+    }
 }
 
-/// Per-call-site lazy handle used by the [`hist!`](crate::hist) macro: the
-/// registry lookup (and its one-time allocation) happens on first `get`,
-/// after which the handle is a single atomic load.
+/// Per-call-site lazy handle behind the [`counter!`](crate::counter),
+/// [`gauge!`](crate::gauge) and [`hist!`](crate::hist) macros: the
+/// registry lookup (and its one-time allocation) happens on the first
+/// [`Handle::get`], whether or not capture is active, so it lands in
+/// warm-up; after that the handle is a single atomic load.
 #[cfg(feature = "capture")]
-pub struct HistHandle {
+pub struct Handle<M: 'static> {
     key: &'static str,
-    cell: OnceLock<&'static Hist>,
+    cell: OnceLock<&'static M>,
 }
 
 #[cfg(feature = "capture")]
-impl HistHandle {
-    /// Const constructor used by [`hist!`](crate::hist).
+impl<M: Metric> Handle<M> {
+    /// Const constructor used by the macros.
     pub const fn new(key: &'static str) -> Self {
-        HistHandle {
+        Handle {
             key,
             cell: OnceLock::new(),
         }
     }
 
-    /// Resolves (once) and returns the histogram.
+    /// Resolves (once) and returns the metric.
     #[inline]
-    pub fn get(&'static self) -> &'static Hist {
-        self.cell.get_or_init(|| hist(self.key))
-    }
-}
-
-/// Per-call-site lazy handle used by the [`gauge!`](crate::gauge) macro.
-#[cfg(feature = "capture")]
-pub struct GaugeHandle {
-    key: &'static str,
-    cell: OnceLock<&'static Gauge>,
-}
-
-#[cfg(feature = "capture")]
-impl GaugeHandle {
-    /// Const constructor used by [`gauge!`](crate::gauge).
-    pub const fn new(key: &'static str) -> Self {
-        GaugeHandle {
-            key,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// Resolves (once) and returns the gauge.
-    #[inline]
-    pub fn get(&'static self) -> &'static Gauge {
-        self.cell.get_or_init(|| gauge(self.key))
+    pub fn get(&self) -> &'static M {
+        self.cell.get_or_init(|| M::lookup(self.key))
     }
 }
 
 // ---------------------------------------------------------------------------
 // Capture-disabled stubs: zero-sized types, empty inline bodies.
 // ---------------------------------------------------------------------------
+
+/// Inert counter (the `capture` feature is off). Zero-sized.
+#[cfg(not(feature = "capture"))]
+#[derive(Debug)]
+pub struct Counter;
+
+#[cfg(not(feature = "capture"))]
+impl Counter {
+    /// Always the empty key.
+    pub fn key(&self) -> &'static str {
+        ""
+    }
+
+    /// No-op.
+    #[inline(always)]
+    pub fn add(&self, _n: u64) {}
+
+    /// Always zero.
+    pub fn get(&self) -> u64 {
+        0
+    }
+}
 
 /// Inert histogram (the `capture` feature is off). Zero-sized.
 #[cfg(not(feature = "capture"))]
@@ -557,10 +619,6 @@ impl Hist {
     /// No-op.
     #[inline(always)]
     pub fn record_ns(&self, _ns: u64) {}
-
-    /// No-op.
-    #[inline(always)]
-    pub fn record_always(&self, _ns: u64) {}
 
     /// Always empty.
     pub fn snapshot(&self) -> HistSnapshot {
@@ -591,82 +649,58 @@ impl Gauge {
 }
 
 #[cfg(not(feature = "capture"))]
-static INERT_HIST: Hist = Hist;
-#[cfg(not(feature = "capture"))]
-static INERT_GAUGE: Gauge = Gauge;
+impl Metric for Counter {
+    #[inline(always)]
+    fn lookup(_key: &str) -> &'static Self {
+        &Counter
+    }
+}
 
-/// Always the shared inert histogram; never allocates.
 #[cfg(not(feature = "capture"))]
-#[inline(always)]
-pub fn hist(_key: &'static str) -> &'static Hist {
-    &INERT_HIST
+impl Metric for Gauge {
+    #[inline(always)]
+    fn lookup(_key: &str) -> &'static Self {
+        &Gauge
+    }
+}
+
+#[cfg(not(feature = "capture"))]
+impl Metric for Hist {
+    #[inline(always)]
+    fn lookup(_key: &str) -> &'static Self {
+        &Hist
+    }
 }
 
 /// Always the shared inert histogram; never allocates.
 #[cfg(not(feature = "capture"))]
 #[inline(always)]
 pub fn hist_labeled(_name: &str, _labels: &[(&str, &str)]) -> &'static Hist {
-    &INERT_HIST
-}
-
-/// Always the shared inert gauge; never allocates.
-#[cfg(not(feature = "capture"))]
-#[inline(always)]
-pub fn gauge(_key: &'static str) -> &'static Gauge {
-    &INERT_GAUGE
+    &Hist
 }
 
 /// Always empty.
 #[cfg(not(feature = "capture"))]
-pub fn hist_snapshots() -> Vec<HistSnapshot> {
-    Vec::new()
+pub fn snapshot() -> Snapshot {
+    Snapshot::default()
 }
 
-/// Always empty.
+/// Inert handle behind the metric macros (the `capture` feature is off).
+/// Zero-sized.
 #[cfg(not(feature = "capture"))]
-pub fn gauge_values() -> Vec<(&'static str, f64)> {
-    Vec::new()
-}
-
-/// No-op.
-#[cfg(not(feature = "capture"))]
-pub fn reset() {}
-
-/// Inert handle used by [`hist!`](crate::hist) (the `capture` feature is
-/// off). Zero-sized.
-#[cfg(not(feature = "capture"))]
-pub struct HistHandle;
+pub struct Handle<M: 'static>(std::marker::PhantomData<&'static M>);
 
 #[cfg(not(feature = "capture"))]
-impl HistHandle {
-    /// Const constructor used by [`hist!`](crate::hist).
+impl<M: Metric> Handle<M> {
+    /// Const constructor used by the macros.
     pub const fn new(_key: &'static str) -> Self {
-        HistHandle
+        Handle(std::marker::PhantomData)
     }
 
-    /// Always the shared inert histogram.
+    /// Always the shared inert metric.
     #[inline(always)]
-    pub fn get(&'static self) -> &'static Hist {
-        &INERT_HIST
-    }
-}
-
-/// Inert handle used by [`gauge!`](crate::gauge) (the `capture` feature is
-/// off). Zero-sized.
-#[cfg(not(feature = "capture"))]
-pub struct GaugeHandle;
-
-#[cfg(not(feature = "capture"))]
-impl GaugeHandle {
-    /// Const constructor used by [`gauge!`](crate::gauge).
-    pub const fn new(_key: &'static str) -> Self {
-        GaugeHandle
-    }
-
-    /// Always the shared inert gauge.
-    #[inline(always)]
-    pub fn get(&'static self) -> &'static Gauge {
-        &INERT_GAUGE
+    pub fn get(&self) -> &'static M {
+        M::lookup("")
     }
 }
 
@@ -704,7 +738,8 @@ mod tests {
 
     #[test]
     fn quantiles_track_a_known_distribution() {
-        let h = hist("test.quantiles");
+        let _l = crate::test_lock();
+        let h = Hist::lookup("test.quantiles");
         // 1..=1000 µs in ns, recorded across shards round-robin.
         for i in 1..=1000u64 {
             h.record_shard(i as usize, i * 1_000);
@@ -726,7 +761,8 @@ mod tests {
 
     #[test]
     fn shard_merge_is_associative_and_matches_full_snapshot() {
-        let h = hist("test.merge");
+        let _l = crate::test_lock();
+        let h = Hist::lookup("test.merge");
         for i in 0..400u64 {
             h.record_shard(i as usize, (i * 37) % 100_000 + 1);
         }
@@ -752,13 +788,14 @@ mod tests {
 
     #[test]
     fn concurrent_recording_loses_nothing() {
-        let h = hist("test.threads");
+        let _l = crate::test_lock();
+        let h = Hist::lookup("test.threads");
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 std::thread::spawn(move || {
-                    let h = hist("test.threads");
+                    let h = Hist::lookup("test.threads");
                     for i in 0..1000u64 {
-                        h.record_always(t * 1_000 + i + 1);
+                        h.record(t * 1_000 + i + 1);
                     }
                 })
             })
@@ -774,6 +811,7 @@ mod tests {
 
     #[test]
     fn keys_round_trip_through_make_and_split() {
+        let _l = crate::test_lock();
         let key = make_key(
             "exec.layer_latency",
             &[("layer", "conv1"), ("backend", "f32"), ("mode", "warm")],

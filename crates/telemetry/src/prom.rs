@@ -82,14 +82,15 @@ pub fn render() -> String {
         crate::dropped_events()
     ));
 
-    for (name, value) in crate::counters() {
+    let snap = metrics::snapshot();
+    for (name, value) in snap.counters {
         let (base, labels) = metrics::split_key(name);
         let fam = sanitize_name(base);
         out.push_str(&format!("# TYPE {fam} counter\n"));
         out.push_str(&format!("{fam}{} {value}\n", render_labels(&labels, None)));
     }
 
-    for (key, value) in metrics::gauge_values() {
+    for (key, value) in snap.gauges {
         let (base, labels) = metrics::split_key(key);
         let fam = sanitize_name(base);
         out.push_str(&format!("# TYPE {fam} gauge\n"));
@@ -101,9 +102,8 @@ pub fn render() -> String {
     }
 
     // Group histogram series by family so each TYPE line appears once.
-    let snaps = metrics::hist_snapshots();
     let mut families: Vec<(String, Vec<&HistSnapshot>)> = Vec::new();
-    for s in &snaps {
+    for s in &snap.hists {
         let (base, _) = metrics::split_key(&s.key);
         let fam = format!("{}_seconds", sanitize_name(base));
         match families.iter_mut().find(|(f, _)| *f == fam) {
@@ -372,13 +372,14 @@ serve_request_latency_seconds_count 640\n";
     fn render_is_valid_and_round_trips_labels() {
         // Rendering draws on whatever global state other tests created;
         // we only assert structural validity plus presence of our series.
+        let _l = crate::test_lock();
         let h = crate::metrics::hist_labeled(
             "prom.test_latency",
             &[("layer", "conv1"), ("mode", "warm")],
         );
-        h.record_always(1_500_000);
-        h.record_always(2_500_000);
-        let g = crate::metrics::gauge("prom.test_gauge");
+        h.record(1_500_000);
+        h.record(2_500_000);
+        let g = <crate::metrics::Gauge as crate::metrics::Metric>::lookup("prom.test_gauge");
         // Gauge stores are gated on the active flag; poke the bit directly
         // via the public API only when enabled — here just render.
         let _ = g;

@@ -1,6 +1,7 @@
-//! Proves the `capture`-off build of `hist!` / `gauge!` (and the metrics
-//! registry behind them) is a true no-op: zero-sized handle types, no
-//! allocation, no recorded state. Built and run by CI as
+//! Proves the `capture`-off build of spans, `counter!` / `gauge!` /
+//! `hist!` (and the metrics registry behind them) is a true no-op:
+//! zero-sized metric and handle types, no allocation, no recorded state.
+//! Built and run by CI as
 //! `cargo test -p greuse-telemetry --no-default-features`; with the
 //! default `capture` feature on, this file compiles to nothing.
 #![cfg(not(feature = "capture"))]
@@ -27,18 +28,16 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn capture_off_metrics_are_true_no_ops() {
+    use greuse_telemetry::metrics::{self, Counter, Gauge, Handle, Hist};
+
     // The stub types are zero-sized — the compile-time half of the
     // guarantee: a `Hist` reference carries no state to update.
-    assert_eq!(std::mem::size_of::<greuse_telemetry::metrics::Hist>(), 0);
-    assert_eq!(std::mem::size_of::<greuse_telemetry::metrics::Gauge>(), 0);
-    assert_eq!(
-        std::mem::size_of::<greuse_telemetry::metrics::HistHandle>(),
-        0
-    );
-    assert_eq!(
-        std::mem::size_of::<greuse_telemetry::metrics::GaugeHandle>(),
-        0
-    );
+    assert_eq!(std::mem::size_of::<Hist>(), 0);
+    assert_eq!(std::mem::size_of::<Gauge>(), 0);
+    assert_eq!(std::mem::size_of::<Counter>(), 0);
+    assert_eq!(std::mem::size_of::<Handle<Hist>>(), 0);
+    assert_eq!(std::mem::size_of::<Handle<Gauge>>(), 0);
+    assert_eq!(std::mem::size_of::<Handle<Counter>>(), 0);
     assert_eq!(std::mem::size_of::<greuse_telemetry::SpanGuard>(), 0);
 
     // Enabling is itself a no-op with capture off, and recording through
@@ -48,7 +47,7 @@ fn capture_off_metrics_are_true_no_ops() {
 
     let h = greuse_telemetry::hist!("noop.latency");
     let g = greuse_telemetry::gauge!("noop.gauge");
-    let dynamic = greuse_telemetry::metrics::hist_labeled("noop.labeled", &[("k", "v")]);
+    let dynamic = metrics::hist_labeled("noop.labeled", &[("k", "v")]);
     let before = ALLOCS.load(Ordering::Relaxed);
     for i in 0..10_000u64 {
         h.record_ns(i);
@@ -56,6 +55,7 @@ fn capture_off_metrics_are_true_no_ops() {
         g.set(i as f64);
         greuse_telemetry::counter!("noop.count").add(1);
         let _span = greuse_telemetry::span!("noop.span");
+        greuse_telemetry::span!("noop.timed", timed: true).finish(h);
     }
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(after - before, 0, "capture-off recording must not allocate");
@@ -63,8 +63,9 @@ fn capture_off_metrics_are_true_no_ops() {
     // And nothing was recorded anywhere.
     assert_eq!(h.snapshot().count, 0);
     assert_eq!(g.get(), 0.0);
-    assert!(greuse_telemetry::metrics::hist_snapshots().is_empty());
-    assert!(greuse_telemetry::metrics::gauge_values().is_empty());
+    let snap = metrics::snapshot();
+    assert!(snap.hists.is_empty());
+    assert!(snap.gauges.is_empty());
     assert!(greuse_telemetry::events().is_empty());
-    assert!(greuse_telemetry::counters().is_empty());
+    assert!(snap.counters.is_empty());
 }

@@ -25,6 +25,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
+use greuse_telemetry::metrics::{Counter, Gauge, Handle, Hist};
+
 thread_local! {
     /// Set while this thread is executing pool tasks; nested
     /// [`WorkerPool::run_tasks`] calls then run inline instead of
@@ -84,23 +86,19 @@ impl Shared {
     }
 }
 
-// Pool utilization counters. Module-level statics (rather than `counter!`
-// call-sites) so `with_workers` can register them all at pool creation:
-// registration is the one allocating step, and pinning it to pool spawn
-// keeps it out of every steady-state measurement window.
-static JOBS: greuse_telemetry::Counter = greuse_telemetry::Counter::new("pool.jobs");
-static TASKS_CALLER: greuse_telemetry::Counter =
-    greuse_telemetry::Counter::new("pool.tasks.caller");
-static TASKS_WORKER: greuse_telemetry::Counter =
-    greuse_telemetry::Counter::new("pool.tasks.worker");
-static PARKS: greuse_telemetry::Counter = greuse_telemetry::Counter::new("pool.parks");
-static WAKES: greuse_telemetry::Counter = greuse_telemetry::Counter::new("pool.wakes");
+// Pool metrics. Module-level handles (rather than macro call-sites) so
+// `with_workers` can register them all at pool creation: registration is
+// the one allocating step, and pinning it to pool spawn keeps it out of
+// every steady-state measurement window.
+static JOBS: Handle<Counter> = Handle::new("pool.jobs");
+static TASKS_CALLER: Handle<Counter> = Handle::new("pool.tasks.caller");
+static TASKS_WORKER: Handle<Counter> = Handle::new("pool.tasks.worker");
+static PARKS: Handle<Counter> = Handle::new("pool.parks");
+static WAKES: Handle<Counter> = Handle::new("pool.wakes");
 /// Wall time of each dispatched job (publish → completion latch), ns.
-static JOB_LATENCY: greuse_telemetry::metrics::HistHandle =
-    greuse_telemetry::metrics::HistHandle::new("pool.job_latency");
+static JOB_LATENCY: Handle<Hist> = Handle::new("pool.job_latency");
 /// Worker-thread count, exported so a scrape can normalize job latency.
-static WORKERS_GAUGE: greuse_telemetry::metrics::GaugeHandle =
-    greuse_telemetry::metrics::GaugeHandle::new("pool.workers");
+static WORKERS_GAUGE: Handle<Gauge> = Handle::new("pool.workers");
 
 /// A pool of persistent worker threads parked between jobs.
 ///
@@ -140,14 +138,13 @@ impl WorkerPool {
             next: AtomicUsize::new(0),
             n_tasks: AtomicUsize::new(0),
         });
-        // Register every pool counter now (add(0) registers without
-        // counting) so the one-time registration allocation happens here,
-        // never during a measured job.
-        JOBS.add(0);
-        TASKS_CALLER.add(0);
-        TASKS_WORKER.add(0);
-        PARKS.add(0);
-        WAKES.add(0);
+        // Register every pool metric now so the one-time registration
+        // allocation happens here, never during a measured job.
+        JOBS.get();
+        TASKS_CALLER.get();
+        TASKS_WORKER.get();
+        PARKS.get();
+        WAKES.get();
         JOB_LATENCY.get();
         WORKERS_GAUGE.get();
         for i in 0..workers {
@@ -209,7 +206,7 @@ impl WorkerPool {
         // guards no data, and `slot` is re-published from scratch each
         // generation — so recovering the inner guard is sound.
         let _own = self.dispatch.lock().unwrap_or_else(|p| p.into_inner());
-        let t0 = greuse_telemetry::enabled().then(std::time::Instant::now);
+        let job_span = greuse_telemetry::span!("pool.job", timed: true);
         self.shared.n_tasks.store(n_tasks, Ordering::Release);
         self.shared.next.store(0, Ordering::Release);
         // SAFETY: lifetime erasure only; the completion latch below keeps
@@ -227,7 +224,7 @@ impl WorkerPool {
             slot.generation += 1;
             self.shared.work_cv.notify_all();
         }
-        JOBS.add(1);
+        JOBS.get().add(1);
         WORKERS_GAUGE.get().set(self.workers as f64);
         // The caller works too; a panic here must still wait out the
         // workers before unwinding frees the task closure.
@@ -235,7 +232,7 @@ impl WorkerPool {
         let mine = catch_unwind(AssertUnwindSafe(|| self.shared.drain(task)));
         IN_POOL.with(|f| f.set(false));
         if let Ok(done) = &mine {
-            TASKS_CALLER.add(*done);
+            TASKS_CALLER.get().add(*done);
         }
         let mut slot = self.shared.slot.lock().unwrap_or_else(|p| p.into_inner());
         while slot.remaining > 0 {
@@ -248,9 +245,7 @@ impl WorkerPool {
         slot.job = None;
         let worker_payload = slot.panic_payload.take();
         drop(slot);
-        if let Some(t0) = t0 {
-            JOB_LATENCY.get().record_ns(t0.elapsed().as_nanos() as u64);
-        }
+        job_span.finish(JOB_LATENCY.get());
         if let Err(payload) = mine {
             resume_unwind(payload);
         }
@@ -266,11 +261,11 @@ fn worker_loop(shared: &Shared) {
         let job = {
             let mut slot = shared.slot.lock().unwrap_or_else(|p| p.into_inner());
             if slot.generation == last_gen {
-                PARKS.add(1);
+                PARKS.get().add(1);
                 while slot.generation == last_gen {
                     slot = shared.work_cv.wait(slot).unwrap_or_else(|p| p.into_inner());
                 }
-                WAKES.add(1);
+                WAKES.get().add(1);
             }
             last_gen = slot.generation;
             slot.job.expect("job published with generation")
@@ -281,7 +276,7 @@ fn worker_loop(shared: &Shared) {
         let result = catch_unwind(AssertUnwindSafe(|| shared.drain(unsafe { &*job.0 })));
         IN_POOL.with(|f| f.set(false));
         if let Ok(done) = &result {
-            TASKS_WORKER.add(*done);
+            TASKS_WORKER.get().add(*done);
         }
         let mut slot = shared.slot.lock().unwrap_or_else(|p| p.into_inner());
         if let Err(payload) = result {
