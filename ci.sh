@@ -125,7 +125,7 @@ if [ "${overhead_ok}" != 1 ]; then
   exit 1
 fi
 
-echo "==> bench_gemm --quick --check (packed kernel + batched hashing gates)"
+echo "==> bench_gemm --quick --check (packed kernel + batched hashing gates; transposed conv5_x/fc1/conv3_x shapes bitwise vs scalar reference)"
 cargo run -q --release -p greuse-bench --bin bench_gemm -- --quick --check
 
 # The 256x96x32 sweep shape sits deliberately near the fused break-even

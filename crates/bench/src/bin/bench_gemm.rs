@@ -1,21 +1,28 @@
 //! Kernel benchmark: GFLOP/s of the packed GEMM microkernel against the
-//! pre-pack scalar reference, single thread and pool-parallel, plus LSH
-//! hashing throughput batched vs per-row. Emits `BENCH_gemm.json` in the
-//! current directory.
+//! pre-pack scalar reference, single thread and pool-parallel, the
+//! transposed GEMM every dense convolution and `Linear` layer runs
+//! (`C = A × Bᵀ`, weights read in place) on network layer shapes, plus
+//! LSH hashing throughput batched vs per-row. Emits `BENCH_gemm.json` in
+//! the current directory.
 //!
 //! ```text
 //! cargo run --release -p greuse-bench --bin bench_gemm [-- --quick] [-- --check]
 //! ```
 //!
-//! With `--check` the process exits nonzero when the packed kernel fails
-//! to reach 2x the scalar reference on the 96x48x16 shape, or when
-//! batched hashing fails to beat per-row hashing.
+//! Every shape's packed result is asserted bit for bit against the scalar
+//! reference (the transposed shapes on an explicit transpose of the
+//! weights), so a mismatch panics in any mode. With `--check` the process
+//! also exits nonzero when the packed kernel fails to reach 2x the scalar
+//! reference on the 96x48x16 shape, or when batched hashing fails to beat
+//! per-row hashing.
 
 use std::time::Instant;
 
 use greuse_bench::quick_mode;
 use greuse_lsh::{HashFamily, SigScratch};
-use greuse_tensor::{gemm_f32, gemm_f32_parallel, gemm_ref_f32, Tensor};
+use greuse_tensor::{
+    gemm_bt_f32_into_with, gemm_f32, gemm_f32_parallel, gemm_ref_f32, GemmScratch, Tensor,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -92,6 +99,51 @@ fn main() {
         ));
     }
 
+    // --- Transposed GEMM `C = A × Bᵀ` on layer shapes (m activation rows,
+    // k, n weight rows): below 8 rows the AVX2 tier runs the
+    // weight-stationary kernel, from 8 rows on the lane-packed one.
+    let bt_shapes: &[(&str, usize, usize, usize)] = &[
+        ("resnet18.conv5_x", 4, 4608, 512),
+        ("cifarnet.fc1", 1, 4096, 192),
+        ("resnet18.conv3_x", 64, 1152, 128),
+    ];
+    let bt_reps = if quick { 10 } else { 50 };
+    let mut bt_json = Vec::new();
+    let mut bt_scratch = GemmScratch::new();
+    for &(layer, m, k, n) in bt_shapes {
+        let a = Tensor::from_fn(&[m, k], |_| rng.gen_range(-1.0f32..1.0));
+        let w = Tensor::from_fn(&[n, k], |_| rng.gen_range(-1.0f32..1.0));
+        let wt = w.transpose();
+        let want = gemm_ref_f32(&a, &wt).expect("scalar reference");
+        let mut c = vec![0.0f32; m * n];
+        let mut run = |c: &mut [f32]| {
+            gemm_bt_f32_into_with(a.as_slice(), w.as_slice(), c, m, k, n, &mut bt_scratch)
+                .expect("transposed gemm");
+        };
+        run(&mut c);
+        assert!(
+            c.iter()
+                .zip(want.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "transposed kernel must match the scalar reference bit for bit on {layer} {m}x{k}x{n}"
+        );
+        let t_ref = best_of(bt_reps, || {
+            std::hint::black_box(gemm_ref_f32(&a, &wt).unwrap());
+        });
+        let t_bt = best_of(bt_reps, || {
+            run(&mut c);
+            std::hint::black_box(&c);
+        });
+        let (g_ref, g_bt) = (gflops(m, k, n, t_ref), gflops(m, k, n, t_bt));
+        let ratio = g_bt / g_ref;
+        println!("{layer} {m}x{k}x{n} (C = A x B^T, bitwise equal):");
+        println!("  scalar reference: {g_ref:>7.3} GFLOP/s");
+        println!("  transposed (1 thread): {g_bt:>6.3} GFLOP/s  ({ratio:.2}x scalar)");
+        bt_json.push(format!(
+            "    {{\n      \"layer\": \"{layer}\",\n      \"m\": {m},\n      \"k\": {k},\n      \"n\": {n},\n      \"scalar_gflops\": {g_ref},\n      \"transposed_gflops\": {g_bt},\n      \"transposed_over_scalar\": {ratio}\n    }}"
+        ));
+    }
+
     // --- LSH hashing throughput: one projection GEMM vs a dot per row ---
     let (rows, l, h) = if quick { (256, 48, 16) } else { (2048, 96, 24) };
     let family = HashFamily::random(h, l, &mut rng);
@@ -132,6 +184,7 @@ fn main() {
         .metric("hash_batched_rows_per_sec", batched_rps)
         .metric("hash_batched_over_per_row", hash_ratio)
         .raw("gemm", format!("[\n{}\n  ]", shape_json.join(",\n")))
+        .raw("gemm_bt", format!("[\n{}\n  ]", bt_json.join(",\n")))
         .write();
 
     if check {
@@ -150,6 +203,10 @@ fn main() {
         if failed {
             std::process::exit(1);
         }
-        println!("check passed: packed {first_ratio:.2}x scalar, batched hash {hash_ratio:.2}x");
+        println!(
+            "check passed: packed {first_ratio:.2}x scalar, batched hash {hash_ratio:.2}x, \
+             {} transposed shapes bitwise equal",
+            bt_shapes.len()
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Dense-path conformance: whole-network logits through [`DenseBackend`]
-//! (the packed `X × Wᵀ` GEMM that reads weight rows in place and packs
-//! only the activations) must be **bitwise** equal to those of a backend
+//! (the `X × Wᵀ` GEMM that reads weight rows in place and packs at most
+//! the activations) must be **bitwise** equal to those of a backend
 //! that materializes `Wᵀ` and runs the scalar reference kernel
 //! [`gemm_ref_f32`].
 //!
@@ -8,8 +8,11 @@
 //! `+0.0` with separate multiply and add; the reference's skip of
 //! `a == 0.0` terms cannot change a sum that starts at `+0.0`. ResNet-18
 //! at paper scale covers every shape class of the dense path: many
-//! activation rows (early layers), fewer rows than one lane panel (the
-//! 2 × 2 `conv5_x` maps), and inner dimensions past one k-block.
+//! activation rows (early layers, lane-packed activations), inner
+//! dimensions past one k-block, and fewer rows than one lane panel. The
+//! 2 × 2 `conv5_x` maps (4 rows) and the classifier (1 row) take the
+//! weight-stationary kernel on AVX2 hosts, with 8 output channels in the
+//! lanes and nothing packed, and the lane-packed kernel elsewhere.
 
 use greuse_nn::models::{ZooModel, ZooScale};
 use greuse_nn::{ConvBackend, DenseBackend};

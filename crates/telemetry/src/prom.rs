@@ -10,7 +10,7 @@
 //! are converted from the internal nanoseconds to seconds per Prometheus
 //! convention, and dotted metric names to underscores.
 
-use crate::metrics::{self, HistSnapshot};
+use crate::metrics;
 
 /// Quantiles rendered for every histogram family.
 pub const QUANTILES: [f64; 4] = [0.5, 0.9, 0.95, 0.99];
@@ -82,36 +82,30 @@ pub fn render() -> String {
         crate::dropped_events()
     ));
 
+    // Series of one family (e.g. `guard.fallback{reason=...}`) share one
+    // TYPE line and are written together, which the format requires.
     let snap = metrics::snapshot();
-    for (name, value) in snap.counters {
-        let (base, labels) = metrics::split_key(name);
-        let fam = sanitize_name(base);
+    for (fam, series) in families(&snap.counters, |(key, _)| key, "") {
         out.push_str(&format!("# TYPE {fam} counter\n"));
-        out.push_str(&format!("{fam}{} {value}\n", render_labels(&labels, None)));
-    }
-
-    for (key, value) in snap.gauges {
-        let (base, labels) = metrics::split_key(key);
-        let fam = sanitize_name(base);
-        out.push_str(&format!("# TYPE {fam} gauge\n"));
-        out.push_str(&format!(
-            "{fam}{} {}\n",
-            render_labels(&labels, None),
-            fmt_value(value)
-        ));
-    }
-
-    // Group histogram series by family so each TYPE line appears once.
-    let mut families: Vec<(String, Vec<&HistSnapshot>)> = Vec::new();
-    for s in &snap.hists {
-        let (base, _) = metrics::split_key(&s.key);
-        let fam = format!("{}_seconds", sanitize_name(base));
-        match families.iter_mut().find(|(f, _)| *f == fam) {
-            Some((_, v)) => v.push(s),
-            None => families.push((fam, vec![s])),
+        for (key, value) in series {
+            let (_, labels) = metrics::split_key(key);
+            out.push_str(&format!("{fam}{} {value}\n", render_labels(&labels, None)));
         }
     }
-    for (fam, snaps) in &families {
+
+    for (fam, series) in families(&snap.gauges, |(key, _)| key, "") {
+        out.push_str(&format!("# TYPE {fam} gauge\n"));
+        for (key, value) in series {
+            let (_, labels) = metrics::split_key(key);
+            out.push_str(&format!(
+                "{fam}{} {}\n",
+                render_labels(&labels, None),
+                fmt_value(*value)
+            ));
+        }
+    }
+
+    for (fam, snaps) in families(&snap.hists, |s| &s.key, "_seconds") {
         out.push_str(&format!("# TYPE {fam} summary\n"));
         for s in snaps {
             let (_, labels) = metrics::split_key(&s.key);
@@ -128,6 +122,25 @@ pub fn render() -> String {
                 s.sum_ns as f64 / 1e9
             ));
             out.push_str(&format!("{fam}_count{base_labels} {}\n", s.count));
+        }
+    }
+    out
+}
+
+/// Groups `series` by Prometheus family — the sanitized base of each
+/// series' key plus `suffix` — in order of first appearance.
+fn families<'a, T>(
+    series: &'a [T],
+    key: impl Fn(&'a T) -> &'a str,
+    suffix: &str,
+) -> Vec<(String, Vec<&'a T>)> {
+    let mut out: Vec<(String, Vec<&'a T>)> = Vec::new();
+    for s in series {
+        let (base, _) = metrics::split_key(key(s));
+        let fam = format!("{}{suffix}", sanitize_name(base));
+        match out.iter_mut().find(|(f, _)| *f == fam) {
+            Some((_, v)) => v.push(s),
+            None => out.push((fam, vec![s])),
         }
     }
     out
@@ -391,5 +404,31 @@ serve_request_latency_seconds_count 640\n";
         assert!(text.contains("prom_test_latency_seconds_count{layer=\"conv1\",mode=\"warm\"} 2"));
         assert!(text.contains("# TYPE prom_test_gauge gauge"));
         assert!(text.contains("greuse_telemetry_dropped_events"));
+    }
+
+    /// Two labeled series of one counter family (and of one gauge
+    /// family) render under a single TYPE line each, series adjacent.
+    #[test]
+    #[cfg(feature = "capture")]
+    fn labeled_series_of_one_family_share_a_type_line() {
+        use crate::metrics::{Counter, Gauge, Metric};
+        let _l = crate::test_lock();
+        Counter::lookup(r#"prom_test.fallback{reason="low_rt"}"#);
+        Gauge::lookup(r#"prom_test.depth{queue="a"}"#);
+        Counter::lookup(r#"prom_test.fallback{reason="accuracy_bound"}"#);
+        Gauge::lookup(r#"prom_test.depth{queue="b"}"#);
+        let text = render();
+        validate(&text).expect("labeled series of one family must validate");
+        for (fam, kind) in [
+            ("prom_test_fallback", "counter"),
+            ("prom_test_depth", "gauge"),
+        ] {
+            let type_line = format!("# TYPE {fam} {kind}");
+            assert_eq!(text.matches(&type_line).count(), 1, "{text}");
+            let lines: Vec<&str> = text.lines().collect();
+            let at = lines.iter().position(|l| *l == type_line).unwrap();
+            assert!(lines[at + 1].starts_with(&format!("{fam}{{")), "{text}");
+            assert!(lines[at + 2].starts_with(&format!("{fam}{{")), "{text}");
+        }
     }
 }

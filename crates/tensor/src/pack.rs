@@ -37,13 +37,34 @@
 //! Each kernel call streams `MR` weight-row segments from separate pages,
 //! so this path uses a longer k-block ([`KC_BT`]) and keeps the lane pack
 //! buffer at the same 128 KiB cap by narrowing the lane block
-//! ([`NC_BT`]).
+//! ([`NC_BT`]). On AVX2 every full 8-row lane panel is packed 8 k-steps at
+//! a time through an in-register 8×8 transpose; the scalar [`pack_b`]
+//! packs partial panels, k tails, and everything on the portable tier.
+//!
+//! **Weight-stationary `C = A × Bᵀ` for fewer than [`NR`] rows of `A`**
+//! (same entry point, AVX2 only): with `m < NR` activation rows a lane
+//! panel would leave most of its lanes empty — ResNet-18's 2×2 `conv5_x`
+//! maps have 4 rows and every `Linear` layer has 1. The operands swap
+//! roles again:
+//!
+//! 1. The lanes hold [`NR`] **weight rows** (output channels). Each group
+//!    of 8 k-steps is loaded from the 8 rows **in place** and turned into
+//!    8 per-k vectors by the same 8×8 register transpose the lane pack
+//!    uses; a k tail is a masked load.
+//! 2. Each `A` row keeps one 8-channel accumulator (up to 7), and each of
+//!    its elements is broadcast against the per-k weight vector.
+//! 3. An accumulator is 8 consecutive columns of one `C` row, so it is
+//!    stored directly. Missing weight rows in the last channel panel
+//!    alias row 0 and their lanes are masked off on store.
+//!
+//! Nothing is packed and no scratch is touched. The whole `k` range runs
+//! in one pass, so there is no k-blocking.
 //!
 //! # Summation order (bit-compatibility)
 //!
 //! Every output element accumulates its `k` products in **strictly
 //! ascending, left-associated order**, exactly like the naive triple loop
-//! `for kk { c[i][j] += a[i][kk] * b[kk][j] }`, on both pipelines: the
+//! `for kk { c[i][j] += a[i][kk] * b[kk][j] }`, on every pipeline: the
 //! accumulator tile is *loaded from `C`* at the start of each `k` block
 //! and stored back after it, so blocking over `k` never re-associates the
 //! sum, and products and sums are rounded separately (no FMA). Results
@@ -51,6 +72,15 @@
 //! pre-packing scalar kernel) up to `-0.0` vs `+0.0` — the old kernel
 //! skipped `a == 0.0` terms entirely, while these add the exact `0.0`
 //! product, which can turn `-0.0` into `+0.0` (equal under `==`).
+//!
+//! The weight-stationary path keeps the same per-element sum: each lane
+//! of an accumulator is one `C[i][j]`, which starts at `+0.0` and adds
+//! `w[j][kk] * a[i][kk]` for `kk = 0, 1, …, k-1` in turn. The register
+//! transpose only moves values, never combines them, and the product
+//! keeps the weight as the first operand, as the lane kernel does.
+//! Without k-blocking the sum is never stored and reloaded, but that
+//! round trip is exact, so the bits match the lane path and the naive
+//! loop (including `+0.0` for a sum of `-0.0` products).
 //!
 //! Packing is staged through a [`GemmScratch`], which callers own (the
 //! executors keep one inside their workspace) so steady-state GEMM calls
@@ -371,7 +401,9 @@ pub(crate) fn gemm_packed(
 /// `ldb >= k`).
 ///
 /// Only `A` is packed (into `NR`-lane panels); the rows of `bt` are read
-/// in place by [`microkernel_bt`].
+/// in place by [`microkernel_bt`]. With fewer than `NR` rows of `A` on
+/// AVX2, nothing is packed: [`gemm_ws_avx2`] puts weight rows in the
+/// lanes instead.
 ///
 /// `c` is overwritten and need not be zeroed: the first `k` block starts
 /// every tile at `0.0` (exactly what a pre-zeroed `C` would hold) and
@@ -396,7 +428,18 @@ pub(crate) fn gemm_packed_bt(
         c[..m * n].fill(0.0);
         return;
     }
-    debug_assert!(ldb >= k && bt.len() >= (n - 1) * ldb + k);
+    // The kernels below read and write through raw pointers within these
+    // bounds.
+    assert!(ldb >= k && bt.len() >= (n - 1) * ldb + k);
+    assert!(a.len() >= m * k && c.len() >= m * n);
+    #[cfg(target_arch = "x86_64")]
+    if m < NR && std::arch::is_x86_feature_detected!("avx2") {
+        let _kernel = greuse_telemetry::span!("gemm.kernel");
+        // SAFETY: AVX2 was just detected, `1 <= m < NR`, `k, n >= 1`, and
+        // the operand lengths are asserted above.
+        unsafe { gemm_ws_avx2(a, bt, ldb, c, m, k, n) };
+        return;
+    }
     let kc_max = k.min(KC_BT);
     GemmScratch::ensure(&mut scratch.b_pack, m.min(NC_BT).div_ceil(NR) * NR * kc_max);
 
@@ -409,16 +452,7 @@ pub(crate) fn gemm_packed_bt(
             let kc = KC_BT.min(k - pc);
             {
                 let _pack = greuse_telemetry::span!("gemm.pack");
-                pack_b(
-                    BLayout::Transposed(a),
-                    k,
-                    m,
-                    pc,
-                    kc,
-                    ic,
-                    mc,
-                    &mut scratch.b_pack,
-                );
+                pack_lanes(a, k, m, pc, kc, ic, mc, &mut scratch.b_pack);
             }
             let _kernel = greuse_telemetry::span!("gemm.kernel");
             // Weight rows outermost: each MR-row segment is fetched once per
@@ -440,6 +474,96 @@ pub(crate) fn gemm_packed_bt(
             pc += kc;
         }
         ic += mc;
+    }
+}
+
+/// Packs rows `i0..i0+mc` of `A` (`m x k` row-major), k-columns
+/// `p0..p0+kc`, into `NR`-lane panels — the layout [`pack_b`] gives
+/// `BLayout::Transposed(a)`. On AVX2 the full 8-row panels go through
+/// [`pack_lanes_avx2`]; a partial last panel, and every panel on the
+/// portable tier, go through the scalar [`pack_b`].
+#[allow(clippy::too_many_arguments)] // operand + two dims + two block offsets + dst
+fn pack_lanes(
+    a: &[f32],
+    k: usize,
+    m: usize,
+    p0: usize,
+    kc: usize,
+    i0: usize,
+    mc: usize,
+    bp: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    let vec_rows = if std::arch::is_x86_feature_detected!("avx2") {
+        let full = mc - mc % NR;
+        assert!(a.len() >= (i0 + mc) * k && p0 + kc <= k);
+        // SAFETY: AVX2 was just detected and `full % NR == 0`; rows
+        // `i0..i0 + full` of `A` and k-columns `p0..p0 + kc` are in bounds
+        // (asserted above); `pack_lanes_avx2` slices `bp` to `full * kc`
+        // with a bounds check.
+        unsafe { pack_lanes_avx2(a, k, p0, kc, i0, full, bp) };
+        full
+    } else {
+        0
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let vec_rows = 0;
+    if vec_rows < mc {
+        let rest = &mut bp[vec_rows * kc..];
+        let rows = mc - vec_rows;
+        pack_b(
+            BLayout::Transposed(a),
+            k,
+            m,
+            p0,
+            kc,
+            i0 + vec_rows,
+            rows,
+            rest,
+        );
+    }
+}
+
+/// AVX2 lane pack of `rows` (a multiple of `NR`) full rows of `A` starting
+/// at row `i0`: each 8-row × 8-k block is loaded row by row and stored
+/// k by k through [`transpose8x8`]; a `kc % 8` tail is copied element by
+/// element. Fills exactly what [`pack_b`] fills for those panels.
+///
+/// # Safety
+///
+/// AVX2 must be available, `rows % NR == 0`,
+/// `a.len() >= (i0 + rows) * k`, `p0 + kc <= k`, and
+/// `bp.len() >= rows * kc`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn pack_lanes_avx2(
+    a: &[f32],
+    k: usize,
+    p0: usize,
+    kc: usize,
+    i0: usize,
+    rows: usize,
+    bp: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let k8 = kc - kc % 8;
+    for (panel, dst) in bp[..rows * kc].chunks_exact_mut(NR * kc).enumerate() {
+        let src = &a[(i0 + panel * NR) * k + p0..];
+        let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
+        for kk in (0..k8).step_by(8) {
+            let mut v = [_mm256_setzero_ps(); NR];
+            for (l, vl) in v.iter_mut().enumerate() {
+                *vl = _mm256_loadu_ps(s.add(l * k + kk));
+            }
+            for (step, &t) in transpose8x8(v).iter().enumerate() {
+                _mm256_storeu_ps(d.add((kk + step) * NR), t);
+            }
+        }
+        for kk in k8..kc {
+            for l in 0..NR {
+                dst[kk * NR + l] = src[l * k + kk];
+            }
+        }
     }
 }
 
@@ -533,6 +657,150 @@ unsafe fn transpose4_in_lanes(y: [std::arch::x86_64::__m256; 4]) -> [std::arch::
         _mm256_shuffle_ps::<0x44>(t1, t3),
         _mm256_shuffle_ps::<0xEE>(t1, t3),
     ]
+}
+
+/// 8×8 register transpose: with `v[r]` holding row `r` of an 8×8 block,
+/// slot `s` of the result holds column `s` (`[v[0][s], …, v[7][s]]`). Two
+/// [`transpose4_in_lanes`] passes transpose the four 4×4 quadrants in
+/// place, and a 128-bit lane exchange swaps the off-diagonal ones. Only
+/// moves values.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn transpose8x8(v: [std::arch::x86_64::__m256; 8]) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::*;
+    let lo = transpose4_in_lanes([v[0], v[1], v[2], v[3]]);
+    let hi = transpose4_in_lanes([v[4], v[5], v[6], v[7]]);
+    [
+        _mm256_permute2f128_ps::<0x20>(lo[0], hi[0]),
+        _mm256_permute2f128_ps::<0x20>(lo[1], hi[1]),
+        _mm256_permute2f128_ps::<0x20>(lo[2], hi[2]),
+        _mm256_permute2f128_ps::<0x20>(lo[3], hi[3]),
+        _mm256_permute2f128_ps::<0x31>(lo[0], hi[0]),
+        _mm256_permute2f128_ps::<0x31>(lo[1], hi[1]),
+        _mm256_permute2f128_ps::<0x31>(lo[2], hi[2]),
+        _mm256_permute2f128_ps::<0x31>(lo[3], hi[3]),
+    ]
+}
+
+/// Weight-stationary AVX2 GEMM for `m < NR` activation rows: `C = A × Bᵀ`
+/// over the full `k` with nothing packed (see the module docs). Dispatches
+/// to [`gemm_ws_rows`] with the row count as a constant, so the
+/// accumulators live in registers.
+///
+/// # Safety
+///
+/// AVX2 must be available, `1 <= m < NR`, `a.len() >= m * k`,
+/// `c.len() >= m * n`, `k >= 1`, `n >= 1`, and
+/// `bt.len() >= (n - 1) * ldb + k`.
+#[allow(clippy::too_many_arguments)] // three operands + stride + three dims
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_ws_avx2(
+    a: &[f32],
+    bt: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    match m {
+        1 => gemm_ws_rows::<1>(a, bt, ldb, c, k, n),
+        2 => gemm_ws_rows::<2>(a, bt, ldb, c, k, n),
+        3 => gemm_ws_rows::<3>(a, bt, ldb, c, k, n),
+        4 => gemm_ws_rows::<4>(a, bt, ldb, c, k, n),
+        5 => gemm_ws_rows::<5>(a, bt, ldb, c, k, n),
+        6 => gemm_ws_rows::<6>(a, bt, ldb, c, k, n),
+        7 => gemm_ws_rows::<7>(a, bt, ldb, c, k, n),
+        _ => unreachable!("the weight-stationary path takes 1..NR rows, got {m}"),
+    }
+}
+
+/// [`gemm_ws_avx2`] for `M` activation rows: one 8-channel accumulator per
+/// row, per panel of [`NR`] weight rows. Multiply and add stay separate
+/// (no FMA) and the weight is the first multiply operand, as in
+/// [`microkernel_bt_avx2`], so each lane's sum is the naive loop's.
+///
+/// # Safety
+///
+/// As [`gemm_ws_avx2`], with `m = M`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_ws_rows<const M: usize>(
+    a: &[f32],
+    bt: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    k: usize,
+    n: usize,
+) {
+    use std::arch::x86_64::*;
+    let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let k8 = k - k % 8;
+    // Lane s of the tail mask is set for the k-steps left after `k8`.
+    let k_mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((k - k8) as i32), lane);
+    let (ap, cp) = (a.as_ptr(), c.as_mut_ptr());
+    for j0 in (0..n).step_by(NR) {
+        let rows = NR.min(n - j0);
+        // Missing weight rows alias row 0; their lanes are never stored.
+        let mut w = [bt.as_ptr().add(j0 * ldb); NR];
+        for (r, wr) in w.iter_mut().enumerate().take(rows).skip(1) {
+            *wr = wr.add(r * ldb);
+        }
+        let mut acc = [_mm256_setzero_ps(); M];
+        for kk in (0..k8).step_by(8) {
+            let mut v = [_mm256_setzero_ps(); NR];
+            for (vr, wr) in v.iter_mut().zip(&w) {
+                *vr = _mm256_loadu_ps(wr.add(kk));
+            }
+            ws_steps(&mut acc, &transpose8x8(v), ap, k, kk, NR);
+        }
+        if k8 < k {
+            let mut v = [_mm256_setzero_ps(); NR];
+            for (vr, wr) in v.iter_mut().zip(&w) {
+                *vr = _mm256_maskload_ps(wr.add(k8), k_mask);
+            }
+            ws_steps(&mut acc, &transpose8x8(v), ap, k, k8, k - k8);
+        }
+        let c_mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(rows as i32), lane);
+        for (i, &v) in acc.iter().enumerate() {
+            let dst = cp.add(i * n + j0);
+            if rows == NR {
+                _mm256_storeu_ps(dst, v);
+            } else {
+                _mm256_maskstore_ps(dst, c_mask, v);
+            }
+        }
+    }
+}
+
+/// Adds k-steps `kk..kk + steps` to the weight-stationary accumulators:
+/// `acc[i] += wt[s] * a[i][kk + s]` for each step `s` in order, with
+/// `wt[s]` the 8 channels' weights at k-step `kk + s`.
+///
+/// # Safety
+///
+/// AVX2 must be available, `steps <= NR`, and `a[i * lda + kk + s]` in
+/// bounds for `i < M`, `s < steps`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn ws_steps<const M: usize>(
+    acc: &mut [std::arch::x86_64::__m256; M],
+    wt: &[std::arch::x86_64::__m256; NR],
+    a: *const f32,
+    lda: usize,
+    kk: usize,
+    steps: usize,
+) {
+    use std::arch::x86_64::*;
+    for (s, &wv) in wt.iter().enumerate().take(steps) {
+        for (i, acc_i) in acc.iter_mut().enumerate() {
+            let av = _mm256_broadcast_ss(&*a.add(i * lda + kk + s));
+            *acc_i = _mm256_add_ps(*acc_i, _mm256_mul_ps(wv, av));
+        }
+    }
 }
 
 /// AVX2 transposed-tile kernel: one 8-lane `ymm` accumulator per weight
@@ -741,12 +1009,18 @@ mod tests {
         assert_eq!(c1, c2);
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn transposed_path_matches_naive_bitwise_across_block_edges() {
         let mut scratch = GemmScratch::new();
-        // Partial weight-row tiles (n % MR), partial lane panels (m % NR),
-        // k across KC_BT, m across NC_BT, and strided weight rows.
-        for &(m, k, n, pad) in &[
+        // Partial weight-row tiles (n % MR, n % NR), partial lane panels
+        // (m % NR), k across KC_BT and off multiples of 8, m across NC_BT,
+        // strided weight rows, and every activation row count below NR
+        // (the weight-stationary path on AVX2).
+        let mut shapes = vec![
             (1usize, 1usize, 1usize, 0usize),
             (3, 5, 7, 0),
             (NR, 8, MR, 0),
@@ -755,17 +1029,84 @@ mod tests {
             (NC_BT + 5, 17, 6, 5),
             (2 * NC_BT, 2 * KC_BT + 1, MR + 1, 1),
             (1, 300, 9, 0),
-        ] {
+            (2 * NR, 2 * NR + 3, NR + 1, 3),
+        ];
+        for m in 1..NR {
+            shapes.extend([
+                (m, 8, NR, 0),
+                (m, 13, 2 * NR + 3, 4),
+                (m, KC_BT + 5, NR - 1, 1),
+                (m, 64, 2 * NR, 0),
+            ]);
+        }
+        for (m, k, n, pad) in shapes {
             let ldb = k + pad;
             let a = fill(m * k, (m * 31 + k) as u64);
             let bt = fill((n - 1) * ldb + k, (k * 17 + n) as u64);
             let want = naive(&a, &untranspose(&bt, ldb, k, n), m, k, n);
-            let mut c = vec![0.0f32; m * n];
+            let mut c = vec![f32::NAN; m * n];
             gemm_packed_bt(&a, &bt, ldb, &mut c, m, k, n, &mut scratch);
-            assert_eq!(c, want, "{m}x{k}x{n} ldb {ldb}");
+            assert_eq!(bits(&c), bits(&want), "{m}x{k}x{n} ldb {ldb}");
             let mut g = vec![0.0f32; m * n];
             gemm_via_generic_kernel(&a, &bt, ldb, &mut g, m, k, n);
-            assert_eq!(g, want, "generic {m}x{k}x{n} ldb {ldb}");
+            assert_eq!(bits(&g), bits(&want), "generic {m}x{k}x{n} ldb {ldb}");
+        }
+    }
+
+    /// With fewer than `NR` activation rows the AVX2 tier takes the
+    /// weight-stationary path (the test above pins its bits on random
+    /// operands). A sum whose products are all `-0.0` must read `+0.0`
+    /// there too, as on the portable kernel: every sum starts at `+0.0`.
+    #[test]
+    fn weight_stationary_sums_of_negative_zero_products_are_positive_zero() {
+        let mut scratch = GemmScratch::new();
+        for m in 1..NR {
+            for &(k, n, pad) in &[
+                (1usize, 1usize, 0usize),
+                (7, 9, 1),
+                (24, 16, 0),
+                (37, 21, 3),
+            ] {
+                let ldb = k + pad;
+                let w = fill((n - 1) * ldb + k, (n * 13 + k) as u64);
+                // +0.0 against negative weights, and -0.0 against positive.
+                let neg: Vec<f32> = w.iter().map(|v| -v.abs() - 1.0).collect();
+                let pos: Vec<f32> = w.iter().map(|v| v.abs() + 1.0).collect();
+                for (a, bt) in [(0.0f32, &neg), (-0.0, &pos)] {
+                    let a = vec![a; m * k];
+                    let mut c = vec![f32::NAN; m * n];
+                    gemm_packed_bt(&a, bt, ldb, &mut c, m, k, n, &mut scratch);
+                    assert!(c.iter().all(|v| v.to_bits() == 0), "{m}x{k}x{n}: {c:?}");
+                    let mut g = vec![f32::NAN; m * n];
+                    gemm_via_generic_kernel(&a, bt, ldb, &mut g, m, k, n);
+                    assert_eq!(bits(&c), bits(&g), "{m}x{k}x{n} ldb {ldb}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_pack_matches_scalar_pack_b() {
+        // Full panels, a partial last panel (rows % NR), kc tails
+        // (kc % 8) and an interior k block (p0 > 0).
+        for &(m, k, p0, kc, i0, mc) in &[
+            (NR, 8usize, 0usize, 8usize, 0usize, NR),
+            (3 * NR + 5, 29, 3, 21, 2, 2 * NR + 3),
+            (NR - 1, 13, 0, 13, 0, NR - 1),
+            (2 * NR, 40, 16, 19, NR, NR),
+            (NR + 2, 5, 1, 4, 0, NR + 2),
+        ] {
+            let a = fill(m * k, (m + k) as u64);
+            let len = mc.div_ceil(NR) * NR * kc;
+            let mut want = vec![f32::NAN; len];
+            pack_b(BLayout::Transposed(&a), k, m, p0, kc, i0, mc, &mut want);
+            let mut got = vec![f32::NAN; len];
+            pack_lanes(&a, k, m, p0, kc, i0, mc, &mut got);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{m}x{k} rows {i0}+{mc} k {p0}+{kc}"
+            );
         }
     }
 
