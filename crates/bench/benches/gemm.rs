@@ -1,8 +1,8 @@
-//! GEMM kernel benchmarks: f32 (serial and parallel) and CMSIS-NN-style
-//! fixed-point Q7, at the layer shapes of the evaluated networks.
+//! GEMM kernel benchmarks: f32 and CMSIS-NN-style fixed-point Q7, at the
+//! layer shapes of the evaluated networks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use greuse_tensor::{gemm_f32, gemm_f32_parallel, gemm_q7, Tensor};
+use greuse_tensor::{gemm_f32, gemm_q7, Tensor};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,11 +26,6 @@ fn bench_gemm(c: &mut Criterion) {
             BenchmarkId::new("f32", format!("{n}x{k}x{m}")),
             &(),
             |bch, _| bch.iter(|| gemm_f32(&a, &b).unwrap()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("f32_par4", format!("{n}x{k}x{m}")),
-            &(),
-            |bch, _| bch.iter(|| gemm_f32_parallel(&a, &b, 4).unwrap()),
         );
         let aq = rand_q7(n, k, 3);
         let bq = rand_q7(k, m, 4);

@@ -1,9 +1,10 @@
-//! Kernel benchmark: GFLOP/s of the packed GEMM microkernel against the
-//! pre-pack scalar reference, single thread and pool-parallel, the
-//! transposed GEMM every dense convolution and `Linear` layer runs
-//! (`C = A × Bᵀ`, weights read in place) on network layer shapes, plus
-//! LSH hashing throughput batched vs per-row. Emits `BENCH_gemm.json` in
-//! the current directory.
+//! Kernel benchmark: GFLOP/s of the packed GEMM pipeline against the
+//! pre-pack scalar reference — `gemm_f32` on a row-major `B`, which
+//! transposes `B` and runs the transposed kernel, and that kernel alone
+//! (`C = A × Bᵀ`, weights read in place) on the network layer shapes every
+//! dense convolution and `Linear` layer runs — plus LSH hashing
+//! throughput batched vs per-row. Single thread throughout. Emits
+//! `BENCH_gemm.json` in the current directory.
 //!
 //! ```text
 //! cargo run --release -p greuse-bench --bin bench_gemm [-- --quick] [-- --check]
@@ -20,9 +21,7 @@ use std::time::Instant;
 
 use greuse_bench::quick_mode;
 use greuse_lsh::{HashFamily, SigScratch};
-use greuse_tensor::{
-    gemm_bt_f32_into_with, gemm_f32, gemm_f32_parallel, gemm_ref_f32, GemmScratch, Tensor,
-};
+use greuse_tensor::{gemm_bt_f32_into_with, gemm_f32, gemm_ref_f32, GemmScratch, Tensor};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,10 +51,6 @@ fn main() {
         &[(96, 48, 16), (256, 128, 64)]
     };
     let (gemm_reps, hash_reps) = if quick { (50, 30) } else { (200, 100) };
-    let hw_threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let threads = hw_threads.max(2);
     let mut rng = SmallRng::seed_from_u64(11);
 
     println!("=== GEMM kernel benchmark ===");
@@ -65,11 +60,10 @@ fn main() {
         let a = Tensor::from_fn(&[m, k], |_| rng.gen_range(-1.0f32..1.0));
         let b = Tensor::from_fn(&[k, n], |_| rng.gen_range(-1.0f32..1.0));
 
-        // Warm the pack buffers and the worker pool outside the timers.
+        // Warm the pack buffers outside the timers.
         let want = gemm_ref_f32(&a, &b).expect("scalar reference");
         let got = gemm_f32(&a, &b).expect("packed gemm");
         assert_eq!(got, want, "packed kernel must match the scalar reference");
-        gemm_f32_parallel(&a, &b, threads).expect("parallel warm-up");
 
         let t_ref = best_of(gemm_reps, || {
             std::hint::black_box(gemm_ref_f32(&a, &b).unwrap());
@@ -77,15 +71,8 @@ fn main() {
         let t_packed = best_of(gemm_reps, || {
             std::hint::black_box(gemm_f32(&a, &b).unwrap());
         });
-        let t_par = best_of(gemm_reps, || {
-            std::hint::black_box(gemm_f32_parallel(&a, &b, threads).unwrap());
-        });
 
-        let (g_ref, g_packed, g_par) = (
-            gflops(m, k, n, t_ref),
-            gflops(m, k, n, t_packed),
-            gflops(m, k, n, t_par),
-        );
+        let (g_ref, g_packed) = (gflops(m, k, n, t_ref), gflops(m, k, n, t_packed));
         let ratio = g_packed / g_ref;
         if first_ratio == 0.0 {
             first_ratio = ratio;
@@ -93,9 +80,8 @@ fn main() {
         println!("{m}x{k}x{n}:");
         println!("  scalar reference: {g_ref:>7.3} GFLOP/s");
         println!("  packed (1 thread): {g_packed:>6.3} GFLOP/s  ({ratio:.2}x scalar)");
-        println!("  packed (pool, {threads} threads): {g_par:>6.3} GFLOP/s");
         shape_json.push(format!(
-            "    {{\n      \"m\": {m},\n      \"k\": {k},\n      \"n\": {n},\n      \"scalar_gflops\": {g_ref},\n      \"packed_gflops\": {g_packed},\n      \"parallel_gflops\": {g_par},\n      \"packed_over_scalar\": {ratio}\n    }}"
+            "    {{\n      \"m\": {m},\n      \"k\": {k},\n      \"n\": {n},\n      \"scalar_gflops\": {g_ref},\n      \"packed_gflops\": {g_packed},\n      \"packed_over_scalar\": {ratio}\n    }}"
         ));
     }
 
@@ -174,8 +160,6 @@ fn main() {
     println!("  batched: {batched_rps:>12.0} rows/sec  ({hash_ratio:.2}x)");
 
     greuse_bench::record::BenchRecord::new("gemm")
-        // Machine-dependent, so a note rather than an exact-match param.
-        .note("threads", threads.to_string())
         .param("hash_rows", rows as f64)
         .param("hash_l", l as f64)
         .param("hash_h", h as f64)

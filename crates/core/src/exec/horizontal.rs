@@ -6,13 +6,13 @@
 //! are similar, distributivity gives `x_j·w_j + x_k·w_k ≈ c × (w_j + w_k)`
 //! with `c` the centroid — so the weight matrix is *folded* (summed by
 //! cluster) instead of the output being duplicated. `Y_i = X_i^c × W_i^c`,
-//! and the panel results are concatenated.
+//! written straight into the panel's rows of `Y`.
 //!
 //! Like the vertical kernel, this is a workspace function: all
 //! intermediates live in the caller's [`PanelBuffers`] arena.
 
 use greuse_lsh::{ClusterScratch, FusedPanelSource, HashFamily};
-use greuse_tensor::gemm_f32_into_with;
+use greuse_tensor::gemm_bt_f32_into_with;
 
 use crate::exec::workspace::{panel_family, PanelBuffers, PanelIter};
 use crate::exec::ReuseStats;
@@ -111,34 +111,29 @@ pub(crate) fn horizontal_into(
             }
         }
 
-        // Folded weights W_i^c: n_c x M, row c = Σ_{j∈c} W[:, j]ᵀ = Σ w_j
-        // where w_j is the j-th column of W (M x K).
-        let wc = &mut buf.folded[..n_c * m];
-        wc.fill(0.0);
-        for (j, &c) in scratch.assignments().iter().enumerate() {
-            let dst = &mut wc[c * m..(c + 1) * m];
-            for (mm, d) in dst.iter_mut().enumerate() {
-                *d += w[mm * k + j];
+        // Folded weights, transposed: W_i^cᵀ is M x n_c, slot [mm][c] =
+        // Σ_{j∈c} W[mm][j], summed over ascending j.
+        let wct = &mut buf.folded[..m * n_c];
+        wct.fill(0.0);
+        let assign = scratch.assignments();
+        for (dst, w_row) in wct.chunks_exact_mut(n_c).zip(w.chunks_exact(k)) {
+            for (&c, &wv) in assign.iter().zip(w_row) {
+                dst[c] += wv;
             }
         }
         // Weight folding costs one add per weight element.
         stats.ops.gemm_macs += (k * m) as u64;
         drop(fold_span);
 
-        // Y_i = X_i^c × W_i^c : lh x M.
-        let yi = &mut buf.yc[..lh * m];
+        // Y_i = X_i^c × W_i^c : lh x M, into the panel's contiguous rows
+        // of Y, so there is nothing left to recover.
         {
             let _gemm = greuse_telemetry::span!("exec.gemm");
-            gemm_f32_into_with(xc, wc, yi, lh, n_c, m, &mut buf.gemm)?;
+            let yi = &mut y[row0 * m..(row0 + lh) * m];
+            gemm_bt_f32_into_with(xc, wct, yi, lh, n_c, m, &mut buf.gemm)?;
         }
         stats.ops.gemm_macs += (lh * n_c * m) as u64;
-
-        {
-            let _recover = greuse_telemetry::span!("exec.recover");
-            for r in 0..lh {
-                y[(row0 + r) * m..(row0 + r + 1) * m].copy_from_slice(&yi[r * m..(r + 1) * m]);
-            }
-        }
+        // The MCU model still charges the recover copy an MCU kernel makes.
         stats.ops.recover_elems += (lh * m) as u64;
     }
 

@@ -200,9 +200,9 @@ pub(crate) struct PanelBuffers<E: PanelElem> {
     /// Vertical: stacked centroid blocks (`n_c·b x lw`); horizontal: the
     /// centroid matrix transposed (`lh x n_c`).
     pub stacked: Vec<E>,
-    /// Centroid-GEMM output.
+    /// Vertical: centroid-GEMM output.
     pub yc: Vec<E::Acc>,
-    /// Horizontal: folded weights (`n_c x M`).
+    /// Horizontal: folded weights, transposed (`M x n_c`).
     pub folded: Vec<f32>,
     /// Vertical: ragged-tail rows (`tail x lw`).
     pub tail: Vec<E>,
@@ -211,7 +211,7 @@ pub(crate) struct PanelBuffers<E: PanelElem> {
     /// Vertical `u8`: dequantized units the fused sweep hashes and the
     /// refinement walk measures (`full_blocks x dim`).
     pub deq: Vec<f32>,
-    /// Pack buffers for the centroid/tail GEMMs (packed microkernel).
+    /// Pack buffers for the centroid/tail GEMMs.
     pub gemm: GemmScratch,
 }
 
@@ -392,7 +392,6 @@ impl ExecWorkspace {
                 grow(&mut buf.centroids, k * l);
                 grow(&mut buf.stacked, l * k);
                 grow(&mut buf.folded, k * m);
-                grow(&mut buf.yc, l * m);
                 self.fused.reserve(pattern.h, l, k);
             }
         }

@@ -49,9 +49,9 @@ pub fn top_principal_directions(
         normalize(&mut v);
         for _ in 0..iters.max(1) {
             // u = X v  (n). Each u[r] sums its L products in ascending
-            // order from 0.0 — the packed GEMM kernel's summation order,
-            // so bit-identical to it — while the column walk lets the
-            // update vectorize across rows.
+            // order from 0.0 — the summation order of `gemm_bt_f32*`, so
+            // bit-identical to it — while the column walk lets the update
+            // vectorize across rows.
             u.fill(0.0);
             for (col, &vk) in xt.chunks_exact(n).zip(v.iter()) {
                 for (uv, &xv) in u.iter_mut().zip(col) {
@@ -166,11 +166,11 @@ mod tests {
         assert!(top_principal_directions(&t, 1, 10).is_err());
     }
 
-    /// The power iteration with `X v` through the packed GEMM matvec and
-    /// per-iteration buffers — the reference the column-walk loop must
-    /// match bit for bit.
+    /// The power iteration with `X v` through the packed GEMM (one row,
+    /// `vᵀ Xᵀ`) and per-iteration buffers — the reference the column-walk
+    /// loop must match bit for bit.
     fn packed_reference(samples: &Tensor<f32>, k: usize, iters: usize) -> Tensor<f32> {
-        use greuse_tensor::{matvec_f32_into_with, GemmScratch};
+        use greuse_tensor::{gemm_bt_f32_into_with, GemmScratch};
         let mean = mean_rows(samples).unwrap();
         let (n, l) = (samples.rows(), samples.cols());
         let mut x: Vec<f32> = Vec::with_capacity(n * l);
@@ -189,7 +189,7 @@ mod tests {
                 .collect();
             normalize(&mut v);
             for _ in 0..iters.max(1) {
-                matvec_f32_into_with(&x, &v, &mut u, n, l, &mut gemm).unwrap();
+                gemm_bt_f32_into_with(&v, &x, &mut u, 1, l, n, &mut gemm).unwrap();
                 let mut w = vec![0.0f32; l];
                 for (r, uv) in u.iter().enumerate() {
                     if *uv == 0.0 {
@@ -219,7 +219,7 @@ mod tests {
 
     #[test]
     fn matches_packed_matvec_reference_bitwise() {
-        // Odd row counts (partial MR tiles), widths past one KC block,
+        // Odd row counts (partial weight-row panels), a long row (L = 300),
         // zero columns (exact-zero projections), and constant data.
         let mut rng = SmallRng::seed_from_u64(9);
         let mut cases: Vec<Tensor<f32>> = [(1, 5), (7, 3), (61, 8), (200, 27), (33, 300)]

@@ -344,6 +344,72 @@ mod tests {
         }
     }
 
+    /// The two backward GEMMs (`dW = dYᵀ X` and `dX_cols = dY W`) against
+    /// naive loops that sum in ascending order from `+0.0`, on a padded,
+    /// strided conv whose output gradient has exact zeros.
+    #[test]
+    fn backward_gradients_equal_naive_loops() {
+        let mut rng = SmallRng::seed_from_u64(8);
+        let spec = ConvSpec::new(2, 3, 3, 3).with_stride(2).with_padding(1);
+        let mut conv = Conv2d::new("c", spec, &mut rng);
+        let (h, w) = (7, 6);
+        let x = Tensor::from_fn(&[2, h, w], |i| ((i as f32) * 0.37).sin());
+        let y = conv.forward_train(&x).unwrap();
+        let (m, oh, ow) = (3, y.shape().dims()[1], y.shape().dims()[2]);
+        let g = Tensor::from_fn(&[m, oh, ow], |i| {
+            if i % 5 == 0 {
+                0.0
+            } else {
+                rng.gen_range(-1.0f32..1.0)
+            }
+        });
+        let dx = conv.backward(&g).unwrap();
+
+        // Input pixel under patch element (ch, ky, kx) of output (oy, ox),
+        // or None in the padding.
+        let at = |oy: usize, ox: usize, ky: usize, kx: usize| {
+            let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+            ((0..h as isize).contains(&iy) && (0..w as isize).contains(&ix))
+                .then_some((iy as usize, ix as usize))
+        };
+        let taps =
+            (0..2).flat_map(|ch| (0..3).flat_map(move |ky| (0..3).map(move |kx| (ch, ky, kx))));
+        let col = |ch: usize, ky: usize, kx: usize| (ch * 3 + ky) * 3 + kx;
+
+        let mut want_dw = vec![0.0f32; m * 18];
+        for mm in 0..m {
+            for (ch, ky, kx) in taps.clone() {
+                let mut s = 0.0f32;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let xv = at(oy, ox, ky, kx).map_or(0.0, |(iy, ix)| x[[ch, iy, ix]]);
+                        s += g[[mm, oy, ox]] * xv;
+                    }
+                }
+                want_dw[mm * 18 + col(ch, ky, kx)] = s;
+            }
+        }
+        assert_eq!(conv.grad_weights.as_slice(), &want_dw[..]);
+
+        let mut want_dx = Tensor::zeros(&[2, h, w]);
+        for oy in 0..oh {
+            for ox in 0..ow {
+                for (ch, ky, kx) in taps.clone() {
+                    let Some((iy, ix)) = at(oy, ox, ky, kx) else {
+                        continue;
+                    };
+                    let mut s = 0.0f32;
+                    for mm in 0..m {
+                        s += g[[mm, oy, ox]] * conv.weights[[mm, col(ch, ky, kx)]];
+                    }
+                    want_dx[[ch, iy, ix]] += s;
+                }
+            }
+        }
+        assert_eq!(dx.as_slice(), want_dx.as_slice());
+    }
+
     #[test]
     fn backward_without_forward_errors() {
         let mut rng = SmallRng::seed_from_u64(5);

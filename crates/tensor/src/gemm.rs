@@ -2,10 +2,14 @@
 //!
 //! Two families are provided:
 //!
-//! * [`gemm_f32`] / [`gemm_f32_parallel`] — packed, register-blocked `f32`
-//!   kernels (see [`crate::pack`]) used for training and for
-//!   floating-point reuse experiments. The parallel variant dispatches
-//!   row blocks onto the persistent [`WorkerPool`](crate::WorkerPool).
+//! * [`gemm_bt_f32`] and its `_into` variants — `C = A × Bᵀ` through the
+//!   packed, register-blocked `f32` pipeline (see the `pack` module),
+//!   which reads the weight rows of `Bᵀ` in place. Every floating-point
+//!   product runs here: convolution, `Linear`, LSH projection and the
+//!   reuse executors' centroid GEMMs. [`gemm_f32`] is the one allocating
+//!   convenience for a row-major `B`: it transposes `B` and calls
+//!   [`gemm_bt_f32`]. Parallelism lives one level up, in the batch
+//!   executor, not inside a product.
 //! * [`gemm_q7`] — a CMSIS-NN-style fixed-point kernel: `i8` (Q7) operands,
 //!   `i32` accumulation, with a right-shift requantization, mirroring the
 //!   `arm_convolve_*` kernels the paper runs on Cortex-M.
@@ -15,8 +19,7 @@
 
 use std::cell::RefCell;
 
-use crate::pack::{gemm_packed, gemm_packed_bt, GemmScratch, MR};
-use crate::pool::WorkerPool;
+use crate::pack::{gemm_packed_bt, GemmScratch};
 use crate::{Tensor, TensorError};
 
 /// Block sizes of the scalar reference kernel ([`gemm_ref_f32`]);
@@ -27,36 +30,11 @@ const BLOCK_K: usize = 64;
 
 thread_local! {
     /// Per-thread pack buffers backing the scratch-less entry points.
-    /// Pool worker threads are persistent, so this reaches a
-    /// zero-allocation steady state on the parallel path too.
     static GEMM_TLS: RefCell<GemmScratch> = RefCell::new(GemmScratch::new());
 }
 
 fn with_tls_scratch<R>(f: impl FnOnce(&mut GemmScratch) -> R) -> R {
     GEMM_TLS.with(|s| f(&mut s.borrow_mut()))
-}
-
-/// Marker struct grouping the GEMM entry points for documentation purposes.
-///
-/// ```
-/// use greuse_tensor::{Gemm, Tensor};
-/// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-/// let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]).unwrap();
-/// let c = Gemm::f32(&a, &b).unwrap();
-/// assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Gemm;
-
-impl Gemm {
-    /// Convenience wrapper over [`gemm_f32`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] on incompatible operands.
-    pub fn f32(a: &Tensor<f32>, b: &Tensor<f32>) -> Result<Tensor<f32>, TensorError> {
-        gemm_f32(a, b)
-    }
 }
 
 fn check_rank2(
@@ -102,80 +80,20 @@ fn check_lens(
     Ok(())
 }
 
-/// Computes `C = A × B` for row-major rank-2 `f32` tensors via the packed
-/// microkernel pipeline.
+/// Computes `C = A × B` for row-major rank-2 `f32` tensors: transposes
+/// `B` (allocating) and runs [`gemm_bt_f32`].
 ///
-/// Per-element sums accumulate in strictly ascending `k` order, so the
-/// result is bit-identical to a naive triple loop (see the `pack` module).
+/// Per-element sums accumulate in strictly ascending `k` order from
+/// `+0.0`, so the result is bit-identical to a naive triple loop (see the
+/// `pack` module).
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] when the operands are not rank-2
 /// or the inner dimensions disagree.
 pub fn gemm_f32(a: &Tensor<f32>, b: &Tensor<f32>) -> Result<Tensor<f32>, TensorError> {
-    let (m, k, n) = check_rank2("gemm_f32", a, b)?;
-    let mut c = Tensor::zeros(&[m, n]);
-    with_tls_scratch(|scratch| {
-        gemm_packed(
-            a.as_slice(),
-            b.as_slice(),
-            c.as_mut_slice(),
-            m,
-            k,
-            n,
-            scratch,
-        );
-    });
-    Ok(c)
-}
-
-/// Computes `C = A × B` into a caller-provided buffer, allocating nothing
-/// in steady state (pack buffers live in thread-local storage).
-///
-/// Operands are raw row-major slices with explicit dimensions
-/// (`A`: `m x k`, `B`: `k x n`, `C`: `m x n`). `c` is zeroed before
-/// accumulation, so the result equals [`gemm_f32`] exactly (same packed
-/// kernel, same summation order).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when a slice length disagrees
-/// with its dimensions.
-pub fn gemm_f32_into(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Result<(), TensorError> {
-    check_lens("gemm_f32_into", a, b.len(), c, m, k, n)?;
-    c.fill(0.0);
-    with_tls_scratch(|scratch| {
-        gemm_packed(a, b, c, m, k, n, scratch);
-    });
-    Ok(())
-}
-
-/// [`gemm_f32_into`] with caller-owned pack buffers — the steady-state
-/// entry point for executors whose workspace owns a [`GemmScratch`].
-///
-/// # Errors
-///
-/// Same conditions as [`gemm_f32_into`].
-pub fn gemm_f32_into_with(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut GemmScratch,
-) -> Result<(), TensorError> {
-    check_lens("gemm_f32_into_with", a, b.len(), c, m, k, n)?;
-    c.fill(0.0);
-    gemm_packed(a, b, c, m, k, n, scratch);
-    Ok(())
+    check_rank2("gemm_f32", a, b)?;
+    gemm_bt_f32(a, &b.transpose())
 }
 
 /// Computes `C = A × Bᵀ` where `bt` is the row-major `n x k` matrix whose
@@ -185,18 +103,18 @@ pub fn gemm_f32_into_with(
 /// the `pack` module), so neither a transposed copy nor a per-call repack
 /// of `bt` is ever made — this is how weight matrices (stored
 /// `out_channels x k`) and LSH projection matrices (`H x L`) are applied.
-/// Bit-identical to `gemm_f32(a, bt.transpose())`.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] when the operands are not rank-2
 /// or `a.cols() != bt.cols()`.
 pub fn gemm_bt_f32(a: &Tensor<f32>, bt: &Tensor<f32>) -> Result<Tensor<f32>, TensorError> {
-    if a.shape().rank() != 2 || bt.shape().rank() != 2 || a.cols() != bt.cols() {
+    let (ad, btd) = (a.shape().dims(), bt.shape().dims());
+    if ad.len() != 2 || btd.len() != 2 || ad[1] != btd[1] {
         return Err(TensorError::ShapeMismatch {
             op: "gemm_bt_f32",
-            expected: vec![a.rows(), a.cols(), bt.rows()],
-            actual: vec![bt.cols(), bt.rows()],
+            expected: ad.to_vec(),
+            actual: btd.to_vec(),
         });
     }
     let (m, k, n) = (a.rows(), a.cols(), bt.rows());
@@ -299,77 +217,12 @@ pub fn gemm_bt_f32_strided_into_with(
     Ok(())
 }
 
-/// Wraps a raw `*mut f32` so disjoint row ranges of `C` can be written
-/// from pool workers.
-struct SendPtr(*mut f32);
-// SAFETY: every task writes a disjoint row range; see gemm_f32_parallel.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    /// Accessor (rather than field access) so closures capture the
-    /// `Sync` wrapper, not the raw pointer inside it.
-    fn get(&self) -> *mut f32 {
-        self.0
-    }
-}
-
-/// Multi-threaded variant of [`gemm_f32`]: splits rows of `A` into
-/// microkernel-aligned blocks dispatched onto the persistent
-/// [`WorkerPool`]. Each output row is computed exactly as in the
-/// sequential kernel (row blocks are independent), so the result is
-/// bit-identical to [`gemm_f32`] regardless of scheduling.
-///
-/// # Errors
-///
-/// Same conditions as [`gemm_f32`].
-pub fn gemm_f32_parallel(
-    a: &Tensor<f32>,
-    b: &Tensor<f32>,
-    threads: usize,
-) -> Result<Tensor<f32>, TensorError> {
-    let (m, k, n) = check_rank2("gemm_f32_parallel", a, b)?;
-    let threads = threads.max(1).min(m.max(1));
-    if threads <= 1 || m <= MR {
-        return gemm_f32(a, b);
-    }
-    let mut c = Tensor::zeros(&[m, n]);
-    let pool = WorkerPool::global();
-    let width = threads.min(pool.workers() + 1);
-    // A few row blocks per participant so claim-based stealing can
-    // balance uneven progress, each a multiple of MR for full tiles.
-    let chunk = m.div_ceil(width * 2).div_ceil(MR).max(1) * MR;
-    let n_tasks = m.div_ceil(chunk);
-    let a_s = a.as_slice();
-    let b_s = b.as_slice();
-    let cp = SendPtr(c.as_mut_slice().as_mut_ptr());
-    pool.run_tasks(n_tasks, width, &|t| {
-        let r0 = t * chunk;
-        let rows = chunk.min(m - r0);
-        // SAFETY: tasks cover disjoint row ranges [r0, r0 + rows) of `C`,
-        // and `c` outlives the (blocking) run_tasks call.
-        let c_chunk = unsafe { std::slice::from_raw_parts_mut(cp.get().add(r0 * n), rows * n) };
-        with_tls_scratch(|scratch| {
-            gemm_packed(
-                &a_s[r0 * k..(r0 + rows) * k],
-                b_s,
-                c_chunk,
-                rows,
-                k,
-                n,
-                scratch,
-            );
-        });
-    });
-    Ok(c)
-}
-
 /// The pre-packing scalar blocked kernel, kept as a reference point.
 ///
 /// This is the kernel `gemm_f32` used before the packed pipeline: cache
 /// blocked with an i-k-j inner ordering and a per-element `a == 0.0`
-/// skip. Benches compare against it to quantify the microkernel win;
-/// tests pin the packed kernel's bit-compatibility with it.
+/// skip. Benches compare against it to quantify the packed pipeline's
+/// win; tests pin the packed kernel's bit-compatibility with it.
 ///
 /// # Errors
 ///
@@ -406,51 +259,6 @@ fn gemm_block(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize, row0: usi
             }
         }
     }
-}
-
-/// Computes `y = A × x` for a rank-2 `A` and vector `x`, through the
-/// packed microkernel pipeline (the `n = 1` GEMM case), so matrix-vector
-/// products share the summation order — and bit-compatibility — of
-/// [`gemm_f32`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when `x.len() != A.cols()`.
-pub fn matvec_f32(a: &Tensor<f32>, x: &[f32]) -> Result<Vec<f32>, TensorError> {
-    if a.shape().rank() != 2 || a.cols() != x.len() {
-        return Err(TensorError::ShapeMismatch {
-            op: "matvec_f32",
-            expected: vec![a.cols()],
-            actual: vec![x.len()],
-        });
-    }
-    let (m, k) = (a.rows(), a.cols());
-    let mut y = vec![0.0f32; m];
-    with_tls_scratch(|scratch| {
-        gemm_packed(a.as_slice(), x, &mut y, m, k, 1, scratch);
-    });
-    Ok(y)
-}
-
-/// [`matvec_f32`] into a caller-provided buffer with caller-owned pack
-/// buffers: `y = A × x` with `A`: `m x k`, `x`: `k`, `y`: `m`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when a slice length disagrees
-/// with its dimensions.
-pub fn matvec_f32_into_with(
-    a: &[f32],
-    x: &[f32],
-    y: &mut [f32],
-    m: usize,
-    k: usize,
-    scratch: &mut GemmScratch,
-) -> Result<(), TensorError> {
-    check_lens("matvec_f32_into_with", a, x.len(), y, m, k, 1)?;
-    y.fill(0.0);
-    gemm_packed(a, x, y, m, k, 1, scratch);
-    Ok(())
 }
 
 /// CMSIS-NN-style fixed-point GEMM: `C = requant(A × B)` where `A` and `B`
@@ -518,33 +326,51 @@ mod tests {
         c
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn gemm_into_matches_allocating_kernel_bitwise() {
         let a = rand_mat(37, 41, 1);
-        let b = rand_mat(41, 29, 2);
-        let want = gemm_f32(&a, &b).unwrap();
+        let bt = rand_mat(29, 41, 2);
+        let want = gemm_bt_f32(&a, &bt).unwrap();
         let mut c = vec![f32::NAN; 37 * 29];
-        gemm_f32_into(a.as_slice(), b.as_slice(), &mut c, 37, 41, 29).unwrap();
-        assert_eq!(&c[..], want.as_slice());
+        gemm_bt_f32_into(a.as_slice(), bt.as_slice(), &mut c, 37, 41, 29).unwrap();
+        assert_eq!(bits(&c), bits(want.as_slice()));
     }
 
     #[test]
     fn gemm_into_with_matches_tls_path_bitwise() {
         let a = rand_mat(19, 23, 12);
-        let b = rand_mat(23, 17, 13);
-        let want = gemm_f32(&a, &b).unwrap();
+        let bt = rand_mat(17, 23, 13);
+        let mut want = vec![f32::NAN; 19 * 17];
+        gemm_bt_f32_into(a.as_slice(), bt.as_slice(), &mut want, 19, 23, 17).unwrap();
         let mut scratch = GemmScratch::new();
         let mut c = vec![f32::NAN; 19 * 17];
-        gemm_f32_into_with(a.as_slice(), b.as_slice(), &mut c, 19, 23, 17, &mut scratch).unwrap();
-        assert_eq!(&c[..], want.as_slice());
+        gemm_bt_f32_into_with(
+            a.as_slice(),
+            bt.as_slice(),
+            &mut c,
+            19,
+            23,
+            17,
+            &mut scratch,
+        )
+        .unwrap();
+        assert_eq!(bits(&c), bits(&want));
     }
 
     #[test]
     fn gemm_into_rejects_bad_lengths() {
-        let a = vec![0.0f32; 6];
-        let b = vec![0.0f32; 6];
-        let mut c = vec![0.0f32; 5];
-        assert!(gemm_f32_into(&a, &b, &mut c, 2, 3, 2).is_err());
+        let mut scratch = GemmScratch::new();
+        // (a, bt, c) lengths for m = 2, k = 3, n = 2: one of them off each.
+        for (a_len, bt_len, c_len) in [(6, 6, 5), (5, 6, 4), (6, 5, 4), (6, 6, 3)] {
+            let (a, bt) = (vec![0.0f32; a_len], vec![0.0f32; bt_len]);
+            let mut c = vec![0.0f32; c_len];
+            assert!(gemm_bt_f32_into(&a, &bt, &mut c, 2, 3, 2).is_err());
+            assert!(gemm_bt_f32_into_with(&a, &bt, &mut c, 2, 3, 2, &mut scratch).is_err());
+        }
     }
 
     fn rand_mat(r: usize, c: usize, seed: u64) -> Tensor<f32> {
@@ -585,20 +411,22 @@ mod tests {
         let a = rand_mat(14, 26, 30);
         let bt = rand_mat(9, 26, 31); // n x k
         let via_bt = gemm_bt_f32(&a, &bt).unwrap();
-        let via_t = gemm_f32(&a, &bt.transpose()).unwrap();
-        assert_eq!(via_bt.as_slice(), via_t.as_slice());
+        let want = naive(&a, &bt.transpose());
+        assert_eq!(bits(via_bt.as_slice()), bits(want.as_slice()));
         assert_eq!(via_bt.shape().dims(), &[14, 9]);
+    }
 
-        let mut scratch = GemmScratch::new();
-        let mut c = vec![f32::NAN; 14 * 9];
-        gemm_bt_f32_into_with(a.as_slice(), bt.as_slice(), &mut c, 14, 26, 9, &mut scratch)
-            .unwrap();
-        assert_eq!(&c[..], via_bt.as_slice());
-
-        let mut c = vec![f32::NAN; 14 * 9];
-        gemm_bt_f32_into(a.as_slice(), bt.as_slice(), &mut c, 14, 26, 9).unwrap();
-        assert_eq!(&c[..], via_bt.as_slice());
-        assert!(gemm_bt_f32_into(a.as_slice(), bt.as_slice(), &mut c[1..], 14, 26, 9).is_err());
+    /// Operands of rank 1 and rank 3 as well as a rank-2 inner-dimension
+    /// mismatch, on both sides.
+    fn bad_operand_pairs() -> Vec<(Tensor<f32>, Tensor<f32>)> {
+        let m = rand_mat(3, 4, 32);
+        let (v, cube) = (Tensor::zeros(&[4]), Tensor::zeros(&[2, 3, 4]));
+        vec![
+            (m.clone(), v.clone()),
+            (v, m.clone()),
+            (m.clone(), cube.clone()),
+            (cube, m),
+        ]
     }
 
     #[test]
@@ -606,16 +434,11 @@ mod tests {
         let a = rand_mat(3, 4, 32);
         let bt = rand_mat(5, 3, 33);
         assert!(gemm_bt_f32(&a, &bt).is_err());
-    }
-
-    #[test]
-    fn parallel_matches_serial_bitwise() {
-        let a = rand_mat(97, 33, 5);
-        let b = rand_mat(33, 41, 6);
-        let s = gemm_f32(&a, &b).unwrap();
-        for threads in [2, 3, 4, 16] {
-            let p = gemm_f32_parallel(&a, &b, threads).unwrap();
-            assert_eq!(s.as_slice(), p.as_slice(), "threads={threads}");
+        for (a, bt) in bad_operand_pairs() {
+            assert!(matches!(
+                gemm_bt_f32(&a, &bt),
+                Err(TensorError::ShapeMismatch { .. })
+            ));
         }
     }
 
@@ -624,6 +447,12 @@ mod tests {
         let a = rand_mat(3, 4, 7);
         let b = rand_mat(5, 2, 8);
         assert!(gemm_f32(&a, &b).is_err());
+        for (a, b) in bad_operand_pairs() {
+            assert!(matches!(
+                gemm_f32(&a, &b),
+                Err(TensorError::ShapeMismatch { .. })
+            ));
+        }
     }
 
     #[test]
@@ -636,25 +465,33 @@ mod tests {
         }
     }
 
+    /// `y = A x` as a one-row transposed GEMM (`yᵀ = xᵀ Aᵀ`, `m = 1`)
+    /// against the one-column row-major product.
     #[test]
     fn matvec_matches_gemm_bitwise() {
         let a = rand_mat(8, 5, 10);
         let x: Vec<f32> = (0..5).map(|i| i as f32 * 0.3 - 1.0).collect();
         let xm = Tensor::from_vec(x.clone(), &[5, 1]).unwrap();
         let via_gemm = gemm_f32(&a, &xm).unwrap();
-        let via_mv = matvec_f32(&a, &x).unwrap();
-        assert_eq!(via_gemm.as_slice(), &via_mv[..]);
+        assert_eq!(bits(via_gemm.as_slice()), bits(naive(&a, &xm).as_slice()));
 
         let mut scratch = GemmScratch::new();
         let mut y = vec![f32::NAN; 8];
-        matvec_f32_into_with(a.as_slice(), &x, &mut y, 8, 5, &mut scratch).unwrap();
-        assert_eq!(&y[..], &via_mv[..]);
+        gemm_bt_f32_into_with(&x, a.as_slice(), &mut y, 1, 5, 8, &mut scratch).unwrap();
+        assert_eq!(bits(&y), bits(via_gemm.as_slice()));
     }
 
     #[test]
     fn matvec_rejects_bad_len() {
         let a = rand_mat(4, 4, 11);
-        assert!(matvec_f32(&a, &[1.0, 2.0]).is_err());
+        let mut y = vec![0.0f32; 4];
+        let mut scratch = GemmScratch::new();
+        let short = [1.0, 2.0];
+        assert!(
+            gemm_bt_f32_into_with(&short, a.as_slice(), &mut y, 1, 4, 4, &mut scratch).is_err()
+        );
+        let row = Tensor::from_vec(short.to_vec(), &[1, 2]).unwrap();
+        assert!(gemm_bt_f32(&row, &a).is_err());
     }
 
     #[test]

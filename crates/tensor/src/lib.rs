@@ -46,8 +46,7 @@ pub use conv::{conv2d_naive, ConvSpec};
 pub use error::TensorError;
 pub use gemm::{
     gemm_bt_f32, gemm_bt_f32_into, gemm_bt_f32_into_with, gemm_bt_f32_strided_into_with, gemm_f32,
-    gemm_f32_into, gemm_f32_into_with, gemm_f32_parallel, gemm_q7, gemm_ref_f32, matvec_f32,
-    matvec_f32_into_with, Gemm,
+    gemm_q7, gemm_ref_f32,
 };
 pub use im2col::{
     col2im_accumulate, im2col, im2col_into, im2col_permuted, im2col_q8_into, Im2colLayout,

@@ -1,26 +1,14 @@
-//! Packed, register-blocked GEMM pipelines.
+//! The packed, register-blocked `f32` GEMM pipeline: `C = A × Bᵀ`.
 //!
 //! The scalar blocked kernel the crate started with streams `B` rows from
 //! their row-major location and carries a per-element `a == 0.0` branch
-//! in the inner loop — both defeat vectorization. This module implements
-//! two packing pipelines instead, one per operand layout.
-//!
-//! **Row-major `C = A × B`** ([`gemm_packed`], `gemm_f32*`, `matvec_f32*`):
-//!
-//! 1. `A` is packed into **row panels** of [`MR`] rows: panel `p` holds
-//!    rows `p·MR..p·MR+MR`, stored k-major (`ap[kk·MR + r]`), zero-padded
-//!    when fewer than `MR` rows remain.
-//! 2. `B` is packed into **column panels** of [`NR`] columns, stored
-//!    k-major (`bp[kk·NR + c]`), zero-padded likewise.
-//! 3. The [`microkernel`] multiplies one `MR x NR` tile, holding the
-//!    `MR·NR` accumulators in locals so LLVM keeps them in SIMD registers
-//!    and vectorizes the `NR`-wide inner updates (no zero-check branch).
-//!
-//! **Transposed `C = A × Bᵀ`** ([`gemm_packed_bt`], `gemm_bt_f32*`): every
-//! dense convolution (`Y = X × Wᵀ`, `W` stored `M x K`) and every batched
-//! hash projection runs here. The roles of the operands are swapped so
-//! that the weights, which never change between calls and in deep layers
-//! are far larger than the activations, are **never packed**:
+//! in the inner loop — both defeat vectorization. Every `f32` product now
+//! runs through [`gemm_packed_bt`] instead (`gemm_bt_f32*`, and
+//! `gemm_f32` on a transposed copy of its right operand): every dense
+//! convolution (`Y = X × Wᵀ`, `W` stored `M x K`), every `Linear` layer,
+//! every batched hash projection and both reuse executors' centroid
+//! GEMMs. The weights, which never change between calls and in deep
+//! layers are far larger than the activations, are **never packed**:
 //!
 //! 1. `A` (the im2col rows) is packed into **lane panels** of [`NR`] rows,
 //!    stored k-major (`ap[kk·NR + l]`), zero-padded — the `A` rows become
@@ -35,9 +23,8 @@
 //!    loads and stores it with an in-register 4×8 transpose.
 //!
 //! Each kernel call streams `MR` weight-row segments from separate pages,
-//! so this path uses a longer k-block ([`KC_BT`]) and keeps the lane pack
-//! buffer at the same 128 KiB cap by narrowing the lane block
-//! ([`NC_BT`]). On AVX2 every full 8-row lane panel is packed 8 k-steps at
+//! so the pipeline uses a long k-block ([`KC_BT`]) and caps the lane pack
+//! buffer at 128 KiB by narrowing the lane block ([`NC_BT`]). On AVX2 every full 8-row lane panel is packed 8 k-steps at
 //! a time through an in-register 8×8 transpose; the scalar [`pack_b`]
 //! packs partial panels, k tails, and everything on the portable tier.
 //!
@@ -64,7 +51,7 @@
 //!
 //! Every output element accumulates its `k` products in **strictly
 //! ascending, left-associated order**, exactly like the naive triple loop
-//! `for kk { c[i][j] += a[i][kk] * b[kk][j] }`, on every pipeline: the
+//! `for kk { c[i][j] += a[i][kk] * b[kk][j] }`, on every kernel: the
 //! accumulator tile is *loaded from `C`* at the start of each `k` block
 //! and stored back after it, so blocking over `k` never re-associates the
 //! sum, and products and sums are rounded separately (no FMA). Results
@@ -86,31 +73,20 @@
 //! executors keep one inside their workspace) so steady-state GEMM calls
 //! allocate nothing.
 
-/// Microkernel tile height: rows of `A` per panel on the row-major path,
-/// weight rows broadcast per tile on the transposed path.
+/// Microkernel tile height: weight rows broadcast per tile (and `A` rows
+/// per panel of the quantized pipeline, [`gemm_q8_into_with`](crate::gemm_q8_into_with)).
 pub const MR: usize = 4;
-/// Microkernel tile width: the vector lanes of the tile — columns of `B`
-/// on the row-major path, rows of `A` on the transposed path. One AVX2
-/// (two SSE) vector of `f32`; with [`MR`]` = 4` the accumulator tile
-/// occupies 4 of the 16 x86-64 vector registers, leaving room for the
-/// lane vector and the broadcast values.
+/// Microkernel tile width: the vector lanes of the tile — rows of `A`
+/// (columns of `B` in the quantized pipeline). One AVX2 (two SSE) vector
+/// of `f32`; with [`MR`]` = 4` the accumulator tile occupies 4 of the 16
+/// x86-64 vector registers, leaving room for the lane vector and the
+/// broadcast values.
 pub const NR: usize = 8;
-/// `k`-dimension block of the row-major path: one packed `A` panel
-/// (`MR x KC`) is 4 KiB.
-pub const KC: usize = 256;
-/// Rows of `A` packed per block on the row-major path (`MC x KC` = 64 KiB,
-/// L2-resident).
-pub const MC: usize = 64;
-/// Columns of `B` packed per block on the row-major path (`KC x NC` =
-/// 128 KiB).
-pub const NC: usize = 128;
-/// `k`-dimension block of the transposed path. Each tile reads `MR`
-/// weight-row segments in place, so a longer block amortizes the start of
-/// those streams; on ResNet-18 a 1024 block ran the dense network about a
-/// third faster than 256.
+/// `k`-dimension block. Each tile reads `MR` weight-row segments in place,
+/// so a long block amortizes the start of those streams; on ResNet-18 a
+/// 1024 block ran the dense network about a third faster than 256.
 pub(crate) const KC_BT: usize = 1024;
-/// Rows of `A` packed per block on the transposed path (`NC_BT x KC_BT` =
-/// 128 KiB, the same cap as the row-major path's `B` block).
+/// Rows of `A` packed per block (`NC_BT x KC_BT` = 128 KiB).
 pub(crate) const NC_BT: usize = 32;
 
 /// Reusable packing buffers for the GEMM pipelines.
@@ -119,16 +95,13 @@ pub(crate) const NC_BT: usize = 32;
 /// shapes reaches a zero-allocation steady state after the first call.
 #[derive(Debug, Default)]
 pub struct GemmScratch {
-    /// `MR`-row panels of `A` (row-major path only).
-    a_pack: Vec<f32>,
-    /// `NR`-lane panels: `B` columns on the row-major path, `A` rows on
-    /// the transposed path.
-    b_pack: Vec<f32>,
+    /// `NR`-lane panels of `A`, the only operand the `f32` pipeline packs.
+    lane_pack: Vec<f32>,
     /// `u8` activation panels for the quantized pipeline
-    /// ([`crate::qgemm`]), same `MR`-row k-major layout as `a_pack`.
+    /// ([`crate::qgemm`]), `MR` rows each, k-major.
     pub(crate) a_pack_q: Vec<u8>,
-    /// `i8` weight panels for the quantized pipeline, same `NR`-column
-    /// k-major layout as `b_pack`.
+    /// `i8` weight panels for the quantized pipeline, `NR` columns each,
+    /// k-major.
     pub(crate) b_pack_q: Vec<i8>,
 }
 
@@ -146,74 +119,20 @@ impl GemmScratch {
     }
 }
 
-/// How a lane-packed operand is laid out in memory.
-#[derive(Debug, Clone, Copy)]
-enum BLayout<'a> {
-    /// `b[kk * n + j]` — a row-major `k x n` matrix (`B` of the row-major
-    /// path).
-    RowMajor(&'a [f32]),
-    /// `b[j * k + kk]` — a row-major `n x k` matrix read as its transpose
-    /// (`A` of the transposed path, whose rows become lanes).
-    Transposed(&'a [f32]),
-}
-
-impl BLayout<'_> {
-    #[inline]
-    fn get(&self, kk: usize, j: usize, k: usize, n: usize) -> f32 {
-        match self {
-            BLayout::RowMajor(b) => b[kk * n + j],
-            BLayout::Transposed(b) => {
-                let _ = n;
-                b[j * k + kk]
-            }
-        }
-    }
-}
-
 /// Packs rows `i0..i0+mc` of `A` (`m x k` row-major), k-columns
-/// `p0..p0+kc`, into `MR`-row panels (k-major inside each panel).
-fn pack_a(a: &[f32], k: usize, i0: usize, mc: usize, p0: usize, kc: usize, ap: &mut [f32]) {
-    let panels = mc.div_ceil(MR);
+/// `p0..p0+kc`, into `NR`-lane panels (k-major inside each panel, lane `l`
+/// = one row of `A`), zero-padding the lanes of a partial last panel.
+fn pack_b(a: &[f32], k: usize, p0: usize, kc: usize, i0: usize, mc: usize, bp: &mut [f32]) {
+    let panels = mc.div_ceil(NR);
     for panel in 0..panels {
-        let r0 = panel * MR;
-        let rows = MR.min(mc - r0);
-        let dst = &mut ap[panel * MR * kc..(panel + 1) * MR * kc];
-        for kk in 0..kc {
-            let col = &mut dst[kk * MR..kk * MR + MR];
-            for (r, slot) in col.iter_mut().enumerate() {
-                *slot = if r < rows {
-                    a[(i0 + r0 + r) * k + p0 + kk]
-                } else {
-                    0.0
-                };
-            }
-        }
-    }
-}
-
-/// Packs k-rows `p0..p0+kc`, columns `j0..j0+nc` of `B` into `NR`-column
-/// panels (k-major inside each panel).
-#[allow(clippy::too_many_arguments)] // five block offsets + two dims + dst
-fn pack_b(
-    b: BLayout<'_>,
-    k: usize,
-    n: usize,
-    p0: usize,
-    kc: usize,
-    j0: usize,
-    nc: usize,
-    bp: &mut [f32],
-) {
-    let panels = nc.div_ceil(NR);
-    for panel in 0..panels {
-        let c0 = panel * NR;
-        let cols = NR.min(nc - c0);
+        let r0 = panel * NR;
+        let rows = NR.min(mc - r0);
         let dst = &mut bp[panel * NR * kc..(panel + 1) * NR * kc];
         for kk in 0..kc {
-            let row = &mut dst[kk * NR..kk * NR + NR];
-            for (c, slot) in row.iter_mut().enumerate() {
-                *slot = if c < cols {
-                    b.get(p0 + kk, j0 + c0 + c, k, n)
+            let lanes = &mut dst[kk * NR..kk * NR + NR];
+            for (l, slot) in lanes.iter_mut().enumerate() {
+                *slot = if l < rows {
+                    a[(i0 + r0 + l) * k + p0 + kk]
                 } else {
                     0.0
                 };
@@ -222,180 +141,7 @@ fn pack_b(
     }
 }
 
-/// Multiplies one packed `MR x NR` tile over `kc` k-steps, accumulating
-/// into the `rows x cols` top-left corner of the `C` tile at `c` (row
-/// stride `ldc`). The accumulator tile is loaded from `C` first, so
-/// calling this once per `k` block preserves the strictly ascending
-/// summation order.
-#[inline]
-fn microkernel(
-    ap: &[f32],
-    bp: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    ldc: usize,
-    rows: usize,
-    cols: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if rows == MR && cols == NR && std::arch::is_x86_feature_detected!("avx2") {
-        // Safety: AVX2 was just detected, the packers guarantee
-        // `kc * MR` / `kc * NR` packed elements, and a full tile means
-        // all `MR` rows of `NR` columns are in bounds of `c`.
-        unsafe { microkernel_avx2(ap, bp, kc, c, ldc) };
-        return;
-    }
-    microkernel_generic(ap, bp, kc, c, ldc, rows, cols);
-}
-
-/// Portable tile kernel — also the edge-tile path (`rows < MR` or
-/// `cols < NR`) on x86-64.
-#[inline]
-fn microkernel_generic(
-    ap: &[f32],
-    bp: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    ldc: usize,
-    rows: usize,
-    cols: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for r in 0..rows {
-        acc[r][..cols].copy_from_slice(&c[r * ldc..r * ldc + cols]);
-    }
-    // Padded A rows / B columns are zeroed by the packers, so the spare
-    // accumulator lanes stay exactly 0.0 and are simply never stored.
-    for (ac, bc) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let av = ac[r];
-            for (j, slot) in acc_row.iter_mut().enumerate() {
-                *slot += av * bc[j];
-            }
-        }
-    }
-    for r in 0..rows {
-        c[r * ldc..r * ldc + cols].copy_from_slice(&acc[r][..cols]);
-    }
-}
-
-/// Full-tile AVX2 kernel: one 8-lane `ymm` accumulator per `A` row.
-///
-/// Uses separate `vmulps` + `vaddps` — **never FMA** — so every product
-/// is rounded before it is added, exactly as in the scalar expression
-/// `acc += a * b`. Combined with the ascending-`k` packed layout this
-/// keeps the result bit-identical to [`microkernel_generic`] and to the
-/// naive triple loop.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available, `ap.len() >= kc * MR`,
-/// `bp.len() >= kc * NR`, and `c[(MR-1)*ldc + NR - 1]` is in bounds.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn microkernel_avx2(ap: &[f32], bp: &[f32], kc: usize, c: &mut [f32], ldc: usize) {
-    use std::arch::x86_64::*;
-    debug_assert!(ap.len() >= kc * MR);
-    debug_assert!(bp.len() >= kc * NR);
-    debug_assert!(c.len() >= (MR - 1) * ldc + NR);
-    let cp = c.as_mut_ptr();
-    let mut acc0 = _mm256_loadu_ps(cp);
-    let mut acc1 = _mm256_loadu_ps(cp.add(ldc));
-    let mut acc2 = _mm256_loadu_ps(cp.add(2 * ldc));
-    let mut acc3 = _mm256_loadu_ps(cp.add(3 * ldc));
-    let mut a = ap.as_ptr();
-    let mut b = bp.as_ptr();
-    for _ in 0..kc {
-        let bv = _mm256_loadu_ps(b);
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(_mm256_broadcast_ss(&*a), bv));
-        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(_mm256_broadcast_ss(&*a.add(1)), bv));
-        acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(_mm256_broadcast_ss(&*a.add(2)), bv));
-        acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(_mm256_broadcast_ss(&*a.add(3)), bv));
-        a = a.add(MR);
-        b = b.add(NR);
-    }
-    _mm256_storeu_ps(cp, acc0);
-    _mm256_storeu_ps(cp.add(ldc), acc1);
-    _mm256_storeu_ps(cp.add(2 * ldc), acc2);
-    _mm256_storeu_ps(cp.add(3 * ldc), acc3);
-}
-
-/// Packed GEMM over raw slices: `C += A × B` for rows `0..m` of `A`/`C`,
-/// with `B` a row-major `k x n` matrix.
-///
-/// `c` must be pre-zeroed by the caller when a plain product (not an
-/// accumulation) is wanted; [`crate::gemm_f32_into`] does exactly that.
-pub(crate) fn gemm_packed(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut GemmScratch,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        // Zero-length inner dimension: nothing accumulates.
-        return;
-    }
-    let kc_max = k.min(KC);
-    let nc_max = n.min(NC);
-    GemmScratch::ensure(&mut scratch.a_pack, MC.min(m).div_ceil(MR) * MR * kc_max);
-    GemmScratch::ensure(&mut scratch.b_pack, nc_max.div_ceil(NR) * NR * kc_max);
-
-    let mut jc = 0;
-    while jc < n {
-        let nc = NC.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            {
-                let _pack = greuse_telemetry::span!("gemm.pack");
-                pack_b(
-                    BLayout::RowMajor(b),
-                    k,
-                    n,
-                    pc,
-                    kc,
-                    jc,
-                    nc,
-                    &mut scratch.b_pack,
-                );
-            }
-            let mut ic = 0;
-            while ic < m {
-                let mc = MC.min(m - ic);
-                {
-                    let _pack = greuse_telemetry::span!("gemm.pack");
-                    pack_a(a, k, ic, mc, pc, kc, &mut scratch.a_pack);
-                }
-                let _kernel = greuse_telemetry::span!("gemm.kernel");
-                let a_panels = mc.div_ceil(MR);
-                let b_panels = nc.div_ceil(NR);
-                for jr in 0..b_panels {
-                    let j0 = jr * NR;
-                    let cols = NR.min(nc - j0);
-                    let bp = &scratch.b_pack[jr * NR * kc..(jr + 1) * NR * kc];
-                    for ir in 0..a_panels {
-                        let i0 = ir * MR;
-                        let rows = MR.min(mc - i0);
-                        let ap = &scratch.a_pack[ir * MR * kc..(ir + 1) * MR * kc];
-                        let base = (ic + i0) * n + jc + j0;
-                        microkernel(ap, bp, kc, &mut c[base..], n, rows, cols);
-                    }
-                }
-                ic += mc;
-            }
-            pc += kc;
-        }
-        jc += nc;
-    }
-}
-
-/// Packed transposed-B GEMM over raw slices: `C = A × Bᵀ` with `A` a
+/// The packed GEMM over raw slices: `C = A × Bᵀ` with `A` a
 /// row-major `m x k` matrix, `C` row-major `m x n`, and `Bᵀ` given as `n`
 /// rows of `k` elements whose starts are `ldb` apart (`bt[j·ldb + kk]`,
 /// `ldb >= k`).
@@ -441,7 +187,10 @@ pub(crate) fn gemm_packed_bt(
         return;
     }
     let kc_max = k.min(KC_BT);
-    GemmScratch::ensure(&mut scratch.b_pack, m.min(NC_BT).div_ceil(NR) * NR * kc_max);
+    GemmScratch::ensure(
+        &mut scratch.lane_pack,
+        m.min(NC_BT).div_ceil(NR) * NR * kc_max,
+    );
 
     let mut ic = 0;
     while ic < m {
@@ -452,7 +201,7 @@ pub(crate) fn gemm_packed_bt(
             let kc = KC_BT.min(k - pc);
             {
                 let _pack = greuse_telemetry::span!("gemm.pack");
-                pack_lanes(a, k, m, pc, kc, ic, mc, &mut scratch.b_pack);
+                pack_lanes(a, k, pc, kc, ic, mc, &mut scratch.lane_pack);
             }
             let _kernel = greuse_telemetry::span!("gemm.kernel");
             // Weight rows outermost: each MR-row segment is fetched once per
@@ -464,7 +213,7 @@ pub(crate) fn gemm_packed_bt(
                 for lp in 0..lane_panels {
                     let l0 = lp * NR;
                     let cols = NR.min(mc - l0);
-                    let ap = &scratch.b_pack[lp * NR * kc..(lp + 1) * NR * kc];
+                    let ap = &scratch.lane_pack[lp * NR * kc..(lp + 1) * NR * kc];
                     let base = (ic + l0) * n + jr;
                     let c_tile = &mut c[base..];
                     microkernel_bt(w, ldb, ap, kc, pc > 0, c_tile, n, rows, cols);
@@ -478,21 +227,11 @@ pub(crate) fn gemm_packed_bt(
 }
 
 /// Packs rows `i0..i0+mc` of `A` (`m x k` row-major), k-columns
-/// `p0..p0+kc`, into `NR`-lane panels — the layout [`pack_b`] gives
-/// `BLayout::Transposed(a)`. On AVX2 the full 8-row panels go through
-/// [`pack_lanes_avx2`]; a partial last panel, and every panel on the
-/// portable tier, go through the scalar [`pack_b`].
-#[allow(clippy::too_many_arguments)] // operand + two dims + two block offsets + dst
-fn pack_lanes(
-    a: &[f32],
-    k: usize,
-    m: usize,
-    p0: usize,
-    kc: usize,
-    i0: usize,
-    mc: usize,
-    bp: &mut [f32],
-) {
+/// `p0..p0+kc`, into the `NR`-lane panels [`pack_b`] fills. On AVX2 the
+/// full 8-row panels go through [`pack_lanes_avx2`]; a partial last
+/// panel, and every panel on the portable tier, go through the scalar
+/// [`pack_b`].
+fn pack_lanes(a: &[f32], k: usize, p0: usize, kc: usize, i0: usize, mc: usize, bp: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     let vec_rows = if std::arch::is_x86_feature_detected!("avx2") {
         let full = mc - mc % NR;
@@ -510,17 +249,7 @@ fn pack_lanes(
     let vec_rows = 0;
     if vec_rows < mc {
         let rest = &mut bp[vec_rows * kc..];
-        let rows = mc - vec_rows;
-        pack_b(
-            BLayout::Transposed(a),
-            k,
-            m,
-            p0,
-            kc,
-            i0 + vec_rows,
-            rows,
-            rest,
-        );
+        pack_b(a, k, p0, kc, i0 + vec_rows, mc - vec_rows, rest);
     }
 }
 
@@ -968,25 +697,29 @@ mod tests {
             .collect()
     }
 
+    /// `C = A × B` with a row-major `B` — the `gemm_f32` route, which
+    /// transposes `B` and runs [`gemm_packed_bt`].
     #[test]
     fn packed_matches_naive_bitwise_across_block_edges() {
-        let mut scratch = GemmScratch::new();
-        // Shapes straddling MR/NR/KC/MC/NC boundaries, plus degenerate 1s.
+        // Shapes straddling MR/NR/KC_BT/NC_BT boundaries, plus degenerate 1s.
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (3, 5, 7),
             (4, 8, 8),
             (5, 9, 9),
-            (MR, KC + 3, NR),
-            (MC + 2, 17, NC + 5),
+            (MR, KC_BT + 3, NR),
+            (NC_BT + 2, 17, 133),
             (96, 48, 16),
         ] {
             let a = fill(m * k, (m * 31 + k) as u64);
             let b = fill(k * n, (k * 17 + n) as u64);
             let want = naive(&a, &b, m, k, n);
-            let mut c = vec![0.0f32; m * n];
-            gemm_packed(&a, &b, &mut c, m, k, n, &mut scratch);
-            assert_eq!(c, want, "{m}x{k}x{n}");
+            let c = crate::gemm_f32(
+                &crate::Tensor::from_vec(a, &[m, k]).unwrap(),
+                &crate::Tensor::from_vec(b, &[k, n]).unwrap(),
+            )
+            .unwrap();
+            assert_eq!(bits(c.as_slice()), bits(&want), "{m}x{k}x{n}");
         }
     }
 
@@ -995,18 +728,22 @@ mod tests {
         (0..k * n).map(|i| bt[(i % n) * ldb + i / n]).collect()
     }
 
+    /// The transposed operand against the row-major scalar reference
+    /// kernel, which skips zero terms (so equal under `==`).
     #[test]
     fn transposed_b_matches_rowmajor() {
         let (m, k, n) = (13, 21, 11);
         let a = fill(m * k, 1);
         let bt = fill(n * k, 2); // n x k, read as its transpose (k x n)
         let b = untranspose(&bt, k, k, n);
-        let mut scratch = GemmScratch::new();
-        let mut c1 = vec![0.0f32; m * n];
-        let mut c2 = vec![0.0f32; m * n];
-        gemm_packed(&a, &b, &mut c1, m, k, n, &mut scratch);
-        gemm_packed_bt(&a, &bt, k, &mut c2, m, k, n, &mut scratch);
-        assert_eq!(c1, c2);
+        let want = crate::gemm_ref_f32(
+            &crate::Tensor::from_vec(a.clone(), &[m, k]).unwrap(),
+            &crate::Tensor::from_vec(b, &[k, n]).unwrap(),
+        )
+        .unwrap();
+        let mut c = vec![f32::NAN; m * n];
+        gemm_packed_bt(&a, &bt, k, &mut c, m, k, n, &mut GemmScratch::new());
+        assert_eq!(&c[..], want.as_slice());
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
@@ -1099,9 +836,9 @@ mod tests {
             let a = fill(m * k, (m + k) as u64);
             let len = mc.div_ceil(NR) * NR * kc;
             let mut want = vec![f32::NAN; len];
-            pack_b(BLayout::Transposed(&a), k, m, p0, kc, i0, mc, &mut want);
+            pack_b(&a, k, p0, kc, i0, mc, &mut want);
             let mut got = vec![f32::NAN; len];
-            pack_lanes(&a, k, m, p0, kc, i0, mc, &mut got);
+            pack_lanes(&a, k, p0, kc, i0, mc, &mut got);
             assert_eq!(
                 bits(&got),
                 bits(&want),
@@ -1123,7 +860,7 @@ mod tests {
         n: usize,
     ) {
         let mut lanes = vec![0.0f32; m.div_ceil(NR) * NR * k];
-        pack_b(BLayout::Transposed(a), k, m, 0, k, 0, m, &mut lanes);
+        pack_b(a, k, 0, k, 0, m, &mut lanes);
         for jr in (0..n).step_by(MR) {
             for lp in 0..m.div_ceil(NR) {
                 let ap = &lanes[lp * NR * k..(lp + 1) * NR * k];
@@ -1147,10 +884,12 @@ mod tests {
     #[test]
     fn all_zero_operands_give_zero() {
         let mut scratch = GemmScratch::new();
-        let a = vec![0.0f32; 6 * 10];
-        let b = vec![0.0f32; 10 * 9];
-        let mut c = vec![0.0f32; 6 * 9];
-        gemm_packed(&a, &b, &mut c, 6, 10, 9, &mut scratch);
-        assert!(c.iter().all(|v| *v == 0.0));
+        for m in [6, 11] {
+            let a = vec![0.0f32; m * 10];
+            let bt = vec![0.0f32; 9 * 10];
+            let mut c = vec![f32::NAN; m * 9];
+            gemm_packed_bt(&a, &bt, 10, &mut c, m, 10, 9, &mut scratch);
+            assert!(c.iter().all(|v| *v == 0.0), "{m} rows");
+        }
     }
 }

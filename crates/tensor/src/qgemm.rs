@@ -17,19 +17,24 @@
 //! and the `i32` accumulator holds `k ≤ 65 000` such products without
 //! overflow — far beyond any layer in the paper's models.
 //!
-//! The pipeline reuses the [`MR`]/[`NR`]/[`KC`]/[`MC`]/[`NC`] panel
-//! machinery and the pack buffers of [`GemmScratch`] (`a_pack_q` /
-//! `b_pack_q`), and the same blocked loop nest as the f32
-//! `gemm_packed` — integer addition is associative, so unlike the f32
-//! path no load-C-first discipline is needed for reproducibility, but we
-//! keep the identical structure anyway so both kernels stay
-//! side-by-side comparable. Results are bit-identical to the naive
+//! The pipeline packs both operands: `A` into [`MR`]-row panels and the
+//! weights into [`NR`]-column panels, staged in [`GemmScratch`]
+//! (`a_pack_q` / `b_pack_q`) and blocked `NC → KC → MC` (outer to inner).
+//! Integer addition is associative, so no summation-order discipline is
+//! needed for reproducibility: results are bit-identical to the naive
 //! triple loop [`gemm_q8_ref`] by construction (exact integer math).
 //!
 //! Telemetry spans: `quant.pack` around panel packing, `quant.kernel`
 //! around the microkernel sweep.
 
-use crate::pack::{GemmScratch, KC, MC, MR, NC, NR};
+use crate::pack::{GemmScratch, MR, NR};
+
+/// `k`-dimension block: one packed `A` panel (`MR x KC`) is 1 KiB.
+const KC: usize = 256;
+/// Rows of `A` packed per block (`MC x KC` = 16 KiB).
+const MC: usize = 64;
+/// Weight columns packed per block (`KC x NC` = 32 KiB).
+const NC: usize = 128;
 
 /// Packs rows `i0..i0+mc` of the `u8` activation matrix (`m x k`
 /// row-major), k-columns `p0..p0+kc`, into `MR`-row panels (k-major).
@@ -419,7 +424,6 @@ pub fn apply_zero_point(c: &mut [i32], m: usize, n: usize, a_zp: u8, row_sums: &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pack::{KC, MC, MR, NC, NR};
 
     fn fill_u8(len: usize, seed: u64) -> Vec<u8> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;

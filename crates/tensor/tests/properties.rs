@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use greuse_tensor::{
     col2im_accumulate, conv2d_naive, gemm_bt_f32, gemm_bt_f32_into, gemm_bt_f32_strided_into_with,
-    gemm_f32, gemm_f32_parallel, gemm_q8_into_with, gemm_q8_ref, im2col, matvec_f32,
-    ActQuantParams, ConvSpec, GemmScratch, Permutation, Requant, Shape, Tensor, MR, NR, Q7,
+    gemm_f32, gemm_q8_into_with, gemm_q8_ref, im2col, ActQuantParams, ConvSpec, GemmScratch,
+    Permutation, Requant, Shape, Tensor, MR, NR, Q7,
 };
 
 fn small_mat(max_r: usize, max_c: usize) -> impl Strategy<Value = Tensor<f32>> {
@@ -204,14 +204,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_gemm_equals_naive_bitwise(pair in gemm_pair(), threads in 2usize..8) {
-        let (a, b) = (&pair.0, &pair.1);
-        let parallel = gemm_f32_parallel(a, b, threads).unwrap();
-        let naive = gemm_naive(a, b);
-        prop_assert_eq!(parallel.as_slice(), naive.as_slice());
-    }
-
-    #[test]
     fn gemm_bt_equals_naive_on_transpose_bitwise(pair in gemm_pair()) {
         let (a, b) = (&pair.0, &pair.1);
         let bt = b.transpose();
@@ -273,13 +265,18 @@ proptest! {
         }
     }
 
+    /// `y = A x` both ways round: a one-column row-major product and a
+    /// one-row transposed product (`yᵀ = xᵀ Aᵀ`, as `Linear` runs it).
     #[test]
     fn matvec_equals_naive_bitwise(a in small_mat(24, 24)) {
         let x: Vec<f32> = (0..a.cols()).map(|i| (i as f32 * 0.7).sin() * 3.0).collect();
         let xm = Tensor::from_vec(x.clone(), &[a.cols(), 1]).unwrap();
         let naive = gemm_naive(&a, &xm);
-        let y = matvec_f32(&a, &x).unwrap();
-        prop_assert_eq!(naive.as_slice(), &y[..]);
+        let y = gemm_f32(&a, &xm).unwrap();
+        prop_assert_eq!(naive.as_slice(), y.as_slice());
+        let xr = Tensor::from_vec(x, &[1, a.cols()]).unwrap();
+        let yt = gemm_bt_f32(&xr, &a).unwrap();
+        prop_assert_eq!(naive.as_slice(), yt.as_slice());
     }
 }
 
